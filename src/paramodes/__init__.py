@@ -9,8 +9,6 @@ c/omega units; rates are reported relative to the free-space rate.
 
 from .core import (
     ModeParams,
-    CircularComponent,
-    MirrorSpec,
     IonSpec,
     TrapSpec,
     DipoleSpec,
@@ -38,7 +36,6 @@ from .trap import (
 from .rates import (
     ModeCatalog,
     RateResult,
-    DeltaAtTransition,
     build_catalog,
     calibrate,
     mode_contribution,

@@ -26,6 +26,67 @@ from .io import write_csv, write_json, write_npz, config_hash
 log = logging.getLogger("paramodes")
 
 _KHZ = 2.0 * np.pi * 1e3  # secular frequencies are quoted in kHz
+_MAX_GRID = 100_000       # bounds z grids before they are allocated
+
+
+class UsageError(Exception):
+    """Command-line usage error, such as an unknown preset name (exit 2)."""
+
+
+def _number(value, what, kind=float):
+    """kind(value) of one configuration entry; a named ValueError otherwise."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    if kind is not int and not np.isfinite(out):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return out
+
+
+def _vector(value, what, length=None, kind=float):
+    """Tuple of _number entries from a configuration list."""
+    if not isinstance(value, (list, tuple)) \
+            or (length is not None and len(value) != length):
+        raise ValueError(f"{what} must be a list of "
+                         f"{length or 'some'} numbers, got {value!r}")
+    return tuple(_number(x, what, kind) for x in value)
+
+
+def _section(raw, name):
+    """Section named by the last part of the dotted `name`; None when absent."""
+    section = raw.get(name.rpartition(".")[2])
+    if section is not None and not isinstance(section, dict):
+        raise ValueError(f"{name} section must be a JSON object")
+    return section
+
+
+def _field(section, name, key, kind=float, default=None):
+    """One numeric entry of a section; missing or malformed ones are named."""
+    if key not in section:
+        if default is None:
+            raise ValueError(f"{name} section is missing {key!r}")
+        return default
+    return _number(section[key], f"{name}.{key}", kind)
+
+
+def _check_catalog(rule):
+    """Type-check a catalog rule; rates.build_catalog interprets it."""
+    labels = rule.get("families")
+    if not isinstance(labels, list) \
+            or not all(isinstance(lab, str) for lab in labels):
+        raise ValueError("catalog.families must be a list of family labels")
+    kappa = _section(rule, "catalog.kappa") or {}
+    if "values" in kappa:
+        _vector(kappa["values"], "catalog.kappa.values")
+    elif kappa:
+        _field(kappa, "catalog.kappa", "start", default=0.0)
+        for key in ("step_inner", "transition", "step_outer", "max"):
+            _field(kappa, "catalog.kappa", key)
+    weight = _section(rule, "catalog.weight") or {}
+    _field(weight, "catalog.weight", "amplitude", default=0.0)
+    _field(weight, "catalog.weight", "width", default=1.0)
+    _vector(rule.get("coeffs", ()), "catalog.coeffs", kind=complex)
 
 
 @dataclass
@@ -45,60 +106,68 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw):
+        if not isinstance(raw, dict):
+            raise ValueError("configuration must be a JSON object")
         cfg = cls(raw=raw)
-        ion = raw.get("ion")
+        ion = _section(raw, "ion")
         if ion is not None:
             cfg.ion = IonSpec(
                 name=str(ion.get("name", "ion")),
-                mass=float(ion["mass_amu"]) * ATOMIC_MASS,
-                transition_wavelength=float(ion["wavelength_nm"]) * 1e-9,
+                mass=_field(ion, "ion", "mass_amu") * ATOMIC_MASS,
+                transition_wavelength=_field(ion, "ion", "wavelength_nm") * 1e-9,
             )
         if "dipole" in raw:
-            cfg.dipole = DipoleSpec(tuple(float(x) for x in raw["dipole"]))
-        trap = raw.get("trap")
+            cfg.dipole = DipoleSpec(_vector(raw["dipole"], "dipole", 3))
+        trap = _section(raw, "trap")
         if trap is not None:
             if cfg.ion is None:
                 raise ValueError("trap section requires an ion section")
-            radial = float(trap["radial_khz"]) * _KHZ
-            axial = float(trap["axial_khz"]) * _KHZ
-            center = tuple(float(x) for x in trap.get("center", (0, 0, 0)))
+            radial = _field(trap, "trap", "radial_khz") * _KHZ
+            axial = _field(trap, "trap", "axial_khz") * _KHZ
+            center = _vector(trap.get("center", (0, 0, 0)), "trap.center", 3)
             cfg.trap = TrapSpec(center=center, lambda_x=radial,
                                 lambda_y=radial, lambda_z=axial)
             cfg.eta = LambDicke.from_trap(cfg.trap, cfg.ion.omega, cfg.ion.mass)
-        if "catalog" in raw:
-            cfg.catalog_rule = raw["catalog"]
+        cfg.catalog_rule = _section(raw, "catalog")
+        if cfg.catalog_rule is not None:
+            _check_catalog(cfg.catalog_rule)
         if "calibration_window" in raw:
-            win = tuple(float(x) for x in raw["calibration_window"])
-            if len(win) != 3 or win[1] <= win[0] or win[2] <= 0:
+            win = _vector(raw["calibration_window"], "calibration_window", 3)
+            if win[1] <= win[0] or win[2] <= 0:
                 raise ValueError("calibration_window must be (start, stop, step)")
+            if (win[1] - win[0]) / win[2] > _MAX_GRID:
+                raise ValueError(f"calibration_window exceeds {_MAX_GRID} points")
             cfg.window = win
-        scan = raw.get("scan")
+        scan = _section(raw, "scan")
         if scan is not None:
-            lo, hi = float(scan["z_min"]), float(scan["z_max"])
-            step = float(scan["z_step"])
+            lo, hi, step = (_field(scan, "scan", k)
+                            for k in ("z_min", "z_max", "z_step"))
             if hi <= lo or step <= 0:
                 raise ValueError("scan grid must have z_min < z_max, z_step > 0")
+            if (hi - lo) / step > _MAX_GRID:
+                raise ValueError(f"scan grid exceeds {_MAX_GRID} points")
             cfg.scan_grid = np.arange(lo, hi + step / 2, step)
-        mode = raw.get("mode")
+        mode = _section(raw, "mode")
         if mode is not None:
-            fam = mode["family"]
+            fam = mode.get("family")
             if fam not in (E_MODE, B_MODE):
                 raise ValueError(f"unknown mode family {fam!r}")
             omega = cfg.ion.omega if cfg.ion is not None else 1.0
             cfg.mode = ModeParams(
-                omega=omega, m=int(mode["m"]), kappa=float(mode["kappa"]),
-                family=fam,
-                coeffs=tuple(complex(c) for c in mode.get("coeffs", (1, -1, 0))))
-        mp = raw.get("map")
+                omega=omega, m=_field(mode, "mode", "m", int),
+                kappa=_field(mode, "mode", "kappa"), family=fam,
+                coeffs=_vector(mode.get("coeffs", (1, -1, 0)), "mode.coeffs",
+                               3, complex))
+        mp = _section(raw, "map")
         if mp is not None:
             spec = {
                 "component": str(mp.get("component", "z")),
-                "rho_max": float(mp.get("rho_max", 8.0)),
-                "n_rho": int(mp.get("n_rho", 81)),
-                "z_center": float(mp["z_center"]),
-                "z_half_span": float(mp.get("z_half_span", 12.0)),
-                "n_z": int(mp.get("n_z", 121)),
-                "n_iso": int(mp.get("n_iso", 25)),
+                "rho_max": _field(mp, "map", "rho_max", default=8.0),
+                "n_rho": _field(mp, "map", "n_rho", int, 81),
+                "z_center": _field(mp, "map", "z_center"),
+                "z_half_span": _field(mp, "map", "z_half_span", default=12.0),
+                "n_z": _field(mp, "map", "n_z", int, 121),
+                "n_iso": _field(mp, "map", "n_iso", int, 25),
             }
             if spec["component"] not in ("z", "+", "-", "total"):
                 raise ValueError("map component must be 'z', '+', '-' or 'total'")
@@ -115,13 +184,29 @@ class RunConfig:
                                  "in the configuration")
 
 
+def _merge(base, overlay):
+    """overlay over base; objects present in both merge key by key."""
+    out = dict(base)
+    for key, value in overlay.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = _merge(out[key], value)
+        out[key] = value
+    return out
+
+
 def _load_config(args):
     raw = {}
     if args.preset:
-        raw.update(load_preset(args.preset))
+        try:
+            raw = load_preset(args.preset)
+        except KeyError as exc:
+            raise UsageError(exc.args[0]) from None
     if args.config:
         with open(args.config) as fh:
-            raw.update(json.load(fh))
+            overlay = json.load(fh)
+        if not isinstance(overlay, dict):
+            raise ValueError("--config must hold a JSON object")
+        raw = _merge(raw, overlay)
     if not raw:
         raise ValueError("provide --preset and/or --config")
     return RunConfig.from_dict(raw), raw
@@ -310,9 +395,8 @@ def main(argv=None):
         parser.error("--threads must be >= 1")
     try:
         return _COMMANDS[args.command](args)
-    except KeyError as exc:
-        # unknown preset names are usage errors
-        print(f"error: {exc.args[0]}", file=sys.stderr)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, NotImplementedError, QuadratureError,
             ArithmeticError, OSError, json.JSONDecodeError) as exc:

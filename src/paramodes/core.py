@@ -5,7 +5,7 @@ transition angular frequency); rates are reported as ratios to the
 free-space rate.  SI values enter only at the configuration boundary.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 from scipy import constants as _const
 
@@ -61,22 +61,6 @@ def dot_circular(u, v):
 
 
 @dataclass(frozen=True)
-class CircularComponent:
-    """A polarization channel sigma with its azimuthal winding n = m - sigma."""
-
-    sigma: int
-    m: int
-
-    def __post_init__(self):
-        if self.sigma not in SIGMAS:
-            raise ValueError("sigma must be one of +1, -1, 0")
-
-    @property
-    def winding(self):
-        return self.m - self.sigma
-
-
-@dataclass(frozen=True)
 class ModeParams:
     """Label and coefficients of one parabolic mode.
 
@@ -108,26 +92,6 @@ class ModeParams:
     def scaled(self, factor):
         return ModeParams(self.omega, self.m, self.kappa, self.family,
                           tuple(factor * c for c in self.coeffs))
-
-
-@dataclass(frozen=True)
-class MirrorSpec:
-    """Mirror geometry plus the catalog rule for allowed kappa values.
-
-    The exact quantization rule of the boundary is not derived here; the
-    catalog is configuration.  kappa_rule is either an explicit sorted list
-    of kappa values or a dict understood by rates.build_catalog.
-    """
-
-    focal_length: float  # meters
-    kappa_rule: object = None
-
-    def __post_init__(self):
-        if self.focal_length <= 0:
-            raise ValueError("focal_length must be positive")
-
-    def focal_length_dimensionless(self, omega):
-        return to_dimensionless(self.focal_length, omega)
 
 
 @dataclass(frozen=True)
@@ -176,6 +140,8 @@ class DipoleSpec:
 
     def __post_init__(self):
         v = np.asarray(self.orientation, dtype=float)
+        if v.shape != (3,):
+            raise ValueError("orientation must have three components")
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError("orientation must be a unit vector")
         object.__setattr__(self, "orientation", tuple(v))

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModeParams, SIGMAS, cartesian_from_circular
-from .spectrum import sigma_profile, mode_spectrum
+from .spectrum import sigma_profile, mode_spectrum, u_spectrum
 from .numerics import (
-    QuadratureConfig, DEFAULT_QUADRATURE, QuadratureError,
-    angular_nodes, taper_window, sin_cos_theta, theta_from_u,
-    bessel_j, integrate_adaptive,
+    DEFAULT_QUADRATURE, QuadratureError, oscillation_count,
+    taper_window, sin_cos_theta, theta_from_u, bessel_j, integrate_adaptive,
 )
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i^n, exact
@@ -53,11 +52,6 @@ class FieldSample:
         return 2 * abs(cp) ** 2 + 2 * abs(cm) ** 2 + abs(c0) ** 2
 
 
-def _oscillation_count(mode, rho, z, cfg):
-    span = 2 * abs(z) + 4 * abs(mode.kappa) * cfg.window + 2 * abs(rho)
-    return span / (2 * np.pi)
-
-
 def _component_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     """Per-sigma reduced integrals at fixed z, vectorized over an array of rho.
 
@@ -65,18 +59,14 @@ def _component_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     yet applied).
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    nosc = _oscillation_count(mode, float(rho.max(initial=0.0)), z, cfg)
+    nosc = oscillation_count(mode.kappa, z, float(rho.max(initial=0.0)), cfg)
     out = {}
-    for sigma in SIGMAS:
-        prof = sigma_profile(mode, sigma)
-        if mode.coeff(1) == 0 and mode.coeff(-1) == 0 and mode.coeff(0) == 0:
-            out[sigma] = np.zeros(len(rho), dtype=complex)
-            continue
-        n = prof.winding
+    for idx, sigma in enumerate(SIGMAS):
+        n = mode.m - sigma
 
-        def values(u, prof=prof, n=n):
+        def values(u, idx=idx, n=n):
             s, c = sin_cos_theta(u)
-            base = s**2 * prof(theta_from_u(u)) * np.exp(1j * z * c) \
+            base = s**2 * u_spectrum(mode, u)[idx] * np.exp(1j * z * c) \
                 * taper_window(u, cfg)
             return base[None, :] * bessel_j(n, rho[:, None] * s[None, :])
 
@@ -114,7 +104,7 @@ def field_2d_oracle(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE,
     if n_phi is None:
         n_phi = int(64 + 8 * np.ceil(rho + abs(mode.m) + 2))
     phik = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    nosc = _oscillation_count(mode, rho, z, cfg)
+    nosc = oscillation_count(mode.kappa, z, rho, cfg)
 
     def values(u):
         s, c = sin_cos_theta(u)
@@ -131,7 +121,7 @@ def field_2d_oracle(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE,
     return FieldSample((rho, phi, z), comps)
 
 
-def localization_plane(kappa, omega=None):
+def localization_plane(kappa):
     """Axial caustic plane Z = -2 kappa (c/omega units) of the mode.
 
     Here the two stationary angles of sin^2(theta) = -2 kappa / z merge (a
@@ -145,7 +135,7 @@ def localization_plane(kappa, omega=None):
 INFEASIBLE = None  # marker returned by stationary_phase_angle
 
 
-def stationary_phase_angle(kappa, z, omega=None):
+def stationary_phase_angle(kappa, z):
     """Principal stationary angle from sin^2(theta) = -2 kappa / z, or None."""
     if z == 0:
         raise ValueError("no stationary-phase geometry at z = 0")
@@ -231,12 +221,13 @@ def axis_intensity_scan(mode: ModeParams, z_values, cfg=DEFAULT_QUADRATURE):
     z_values = np.asarray(z_values, dtype=float)
     if mode.m not in SIGMAS:
         raise ValueError("mode has no winding-zero component for |m| > 1")
-    prof = sigma_profile(mode, mode.m)  # n = m - sigma = 0
-    nosc = _oscillation_count(mode, 0.0, float(np.abs(z_values).max()), cfg)
+    idx = SIGMAS.index(mode.m)  # n = m - sigma = 0
+    nosc = oscillation_count(mode.kappa, float(np.abs(z_values).max()), 0.0,
+                             cfg)
 
     def values(u):
         s, c = sin_cos_theta(u)
-        base = s**2 * prof(theta_from_u(u)) * taper_window(u, cfg)
+        base = s**2 * u_spectrum(mode, u)[idx] * taper_window(u, cfg)
         return base[None, :] * np.exp(1j * np.outer(z_values, c))
 
     est, _ = integrate_adaptive(values, nosc, cfg)

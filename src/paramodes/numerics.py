@@ -66,6 +66,8 @@ class QuadratureConfig:
             raise ValueError("rel_tol must lie in (0, 1e-2]")
         if window <= 0:
             raise ValueError("window must be positive")
+        if max_refinements < 0:
+            raise ValueError("max_refinements must be nonnegative")
         self.rel_tol = float(rel_tol)
         self.max_refinements = int(max_refinements)
         self.window = float(window)
@@ -107,33 +109,42 @@ def taper_window(u, cfg=DEFAULT_QUADRATURE):
     return t
 
 
-def angular_nodes(n_oscillations, cfg=DEFAULT_QUADRATURE, refine=0):
-    """u-substitution node set sized for the given phase oscillation count."""
-    n = max(cfg.min_panels,
-            int(np.ceil(n_oscillations * cfg.panels_per_oscillation)))
-    n <<= refine
-    return panel_nodes(n, -cfg.window, cfg.window)
+def oscillation_count(kappa, z, rho, cfg=DEFAULT_QUADRATURE):
+    """Oscillations of the phase -2 kappa u + z cos(theta) + rho sin(theta)
+    over |u| <= window: the one rule that sizes every first grid."""
+    return (2 * abs(z) + 2 * abs(rho) + 4 * abs(kappa) * cfg.window) \
+        / (2 * np.pi)
+
+
+def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE):
+    """The refinement driver of every angular quadrature.
+
+    estimate(u, wk, wg) returns the (Kronrod, Gauss) pair of whatever the
+    integrals reduce to (e.g. a quadratic form) on the nodes u.  Panels
+    double until the pair agrees to rel_tol of the largest Kronrod magnitude,
+    plus an absolute floor.  Returns (Kronrod estimate, residual).
+    """
+    n_panels = max(cfg.min_panels,
+                   int(np.ceil(n_oscillations * cfg.panels_per_oscillation)))
+    for _ in range(cfg.max_refinements + 1):
+        est_k, est_g = estimate(*panel_nodes(n_panels, -cfg.window, cfg.window))
+        resid = float(np.max(np.abs(est_k - est_g), initial=0.0))
+        scale = max(float(np.max(np.abs(est_k), initial=0.0)), 1e-30)
+        if resid <= cfg.rel_tol * scale + 1e-15:
+            return est_k, resid
+        n_panels *= 2
+    raise QuadratureError("quadrature did not converge after "
+                          f"{cfg.max_refinements} refinements", resid)
 
 
 def integrate_adaptive(values_at, n_oscillations, cfg=DEFAULT_QUADRATURE):
-    """Integrate vectorized integrands over the u window.
-
-    values_at(u) must return an array whose last axis runs over the nodes.
-    Refinement doubles the panel count globally until the Kronrod/Gauss
-    difference of every integrand meets rel_tol (scaled by the largest
-    magnitude, with an absolute floor), or QuadratureError is raised.
-    """
-    for refine in range(cfg.max_refinements + 1):
-        u, wk, wg = angular_nodes(n_oscillations, cfg, refine)
+    """Integrate values_at(u), whose last axis runs over the nodes u, with
+    one refine() shared by every integrand."""
+    def estimate(u, wk, wg):
         vals = values_at(u)
-        est_k = vals @ wk
-        est_g = vals @ wg
-        resid = np.max(np.abs(est_k - est_g))
-        scale = max(float(np.max(np.abs(est_k))), 1e-30)
-        if resid <= cfg.rel_tol * scale + 1e-15:
-            return est_k, resid
-    raise QuadratureError("quadrature did not converge after "
-                          f"{cfg.max_refinements} refinements", resid)
+        return vals @ wk, vals @ wg
+
+    return refine(estimate, n_oscillations, cfg)
 
 
 def sin_cos_theta(u):

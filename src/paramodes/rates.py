@@ -29,10 +29,10 @@ from scipy.special import gammaln
 
 from .core import ModeParams, DipoleSpec, SIGMAS, HBAR, C_LIGHT, EPS0
 from .trap import LambDicke
-from .spectrum import sigma_profile
+from .spectrum import u_spectrum
 from .numerics import (
-    QuadratureConfig, DEFAULT_QUADRATURE, QuadratureError,
-    panel_nodes, taper_window, sin_cos_theta, theta_from_u, bessel_i,
+    DEFAULT_QUADRATURE, oscillation_count, refine, taper_window,
+    sin_cos_theta, bessel_i,
 )
 
 
@@ -55,13 +55,6 @@ def _parse_family_label(label):
     if mpart.startswith("m="):
         return [(fam, int(mpart[2:]))]
     raise ValueError(f"unrecognized family label {label!r}")
-
-
-class DeltaAtTransition:
-    """Spectral selector: every catalog mode sits at the transition frequency."""
-
-    def weight(self, mode: ModeParams) -> float:
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -99,6 +92,9 @@ class ModeCatalog:
         return replace(self, calibration=float(constant), meta=meta)
 
 
+_MAX_LADDER = 100_000  # bounds the ladder before it is built
+
+
 def build_ladder(start, step_inner, transition, step_outer, kappa_max):
     """Graded kappa ladder stepping outward from `start` in both directions.
 
@@ -107,6 +103,8 @@ def build_ladder(start, step_inner, transition, step_outer, kappa_max):
     """
     if step_inner <= 0 or step_outer <= 0 or kappa_max <= abs(start):
         raise ValueError("ladder rule must have positive steps and room to grow")
+    if 2 * kappa_max / min(step_inner, step_outer) > _MAX_LADDER:
+        raise ValueError(f"ladder rule gives more than {_MAX_LADDER} modes")
     ks = [start]
     k = start
     while True:
@@ -196,44 +194,33 @@ def _scan_T(mode, sigma, eta: LambDicke, z_values, cfg=DEFAULT_QUADRATURE,
             n_axial=5, n_radial=4):
     """T_sigma of one mode over an array of axial trap centers.
 
-    Separable expansion of the pair kernel; Kronrod/Gauss embedded residual
-    drives panel doubling exactly as in the field quadratures.
+    Separable expansion of the pair kernel; each refinement builds the
+    series rows and the trap-phase matrix once and contracts them with the
+    Kronrod and the Gauss weights.
     """
     if not eta.axisymmetric:
         raise NotImplementedError(
             "fast path assumes eta_x == eta_y; use mode_contribution_general")
     z_values = np.asarray(z_values, dtype=float)
-    n = mode.m - sigma
-    prof = sigma_profile(mode, sigma)
-    terms = _series_terms(abs(n), eta.eta_x, eta.eta_z, n_axial, n_radial)
+    idx = SIGMAS.index(sigma)
+    terms = _series_terms(abs(mode.m - sigma), eta.eta_x, eta.eta_z,
+                          n_axial, n_radial)
     if not terms:
         return np.zeros(len(z_values))
-    gam = np.array([t[2] for t in terms])
+    p, e_r, gam = (np.array(t) for t in zip(*terms))
     zmax = float(np.abs(z_values).max(initial=0.0))
-    nosc = (2 * zmax + 4 * abs(mode.kappa) * cfg.window) / (2 * np.pi)
-    n_panels = max(cfg.min_panels,
-                   int(np.ceil(nosc * cfg.panels_per_oscillation)))
 
-    def totals(u, w):
+    def estimate(u, wk, wg):
         s, c = sin_cos_theta(u)
-        base = s**2 * np.conj(prof(theta_from_u(u))) * taper_window(u, cfg) * w
-        env = np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
-        rows = np.array([env * c**p * s**e_r for p, e_r, _ in terms])
-        E = np.exp(-1j * np.outer(c, z_values))
-        G = (rows * base[None, :]) @ E
-        return gam @ (np.abs(G) ** 2)
+        base = s**2 * np.conj(u_spectrum(mode, u)[idx]) * taper_window(u, cfg) \
+            * np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
+        rows = base * c ** p[:, None] * s ** e_r[:, None]
+        E = np.multiply.outer(-1j * c, z_values)
+        np.exp(E, out=E)
+        return (gam @ (np.abs((rows * w) @ E) ** 2) for w in (wk, wg))
 
-    for attempt in range(cfg.max_refinements + 1):
-        u, wk, wg = panel_nodes(n_panels, -cfg.window, cfg.window)
-        t_k = totals(u, wk)
-        t_g = totals(u, wg)
-        resid = float(np.max(np.abs(t_k - t_g)))
-        scale = max(float(t_k.max(initial=0.0)), 1e-30)
-        if resid <= cfg.rel_tol * scale + 1e-15:
-            return t_k
-        n_panels *= 2
-    raise QuadratureError(
-        f"rate quadrature did not settle for kappa={mode.kappa}", resid)
+    return refine(estimate, oscillation_count(mode.kappa, zmax, 0.0, cfg),
+                  cfg)[0]
 
 
 def mode_contribution(mode, sigma, eta: LambDicke, z_center,
@@ -244,7 +231,7 @@ def mode_contribution(mode, sigma, eta: LambDicke, z_center,
 
 
 def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
-                             cfg=DEFAULT_QUADRATURE, n_panels=None):
+                             cfg=DEFAULT_QUADRATURE):
     """Dense double-quadrature of the pair kernel; slow verification path.
 
     Tiny negative results from quadrature noise are clamped to zero; a
@@ -254,24 +241,27 @@ def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
         raise NotImplementedError("direct path assumes eta_x == eta_y")
     z_center = float(z_center)
     n = mode.m - sigma
-    prof = sigma_profile(mode, sigma)
-    nosc = (2 * abs(z_center) + 4 * abs(mode.kappa) * cfg.window) / (2 * np.pi)
-    if n_panels is None:
-        n_panels = max(cfg.min_panels,
-                       int(np.ceil(nosc * cfg.panels_per_oscillation)))
-    u, wk, _ = panel_nodes(n_panels, -cfg.window, cfg.window)
-    s, c = sin_cos_theta(u)
-    # conjugate side of the quadratic form supplies e^{-iZc}
-    v = wk * s**2 * prof(theta_from_u(u)) * taper_window(u, cfg) \
-        * np.exp(1j * z_center * c)
-    dz = c[:, None] - c[None, :]
-    kernel = np.exp(-eta.eta_z**2 * dz**2 / 2.0) \
-        * np.exp(-eta.eta_x**2 * (s[:, None]**2 + s[None, :]**2) / 2.0) \
-        * bessel_i(abs(n), eta.eta_x**2 * np.outer(s, s))
-    t = float(np.real(np.conj(v) @ kernel @ v))
-    ref = float((np.abs(v) ** 2 * np.diag(kernel)).sum())
-    if t < -1e-10 * max(ref, 1e-300):
-        raise ArithmeticError(f"pair kernel lost positivity: {t} vs scale {ref}")
+    idx = SIGMAS.index(sigma)
+
+    def estimate(u, wk, wg):
+        s, c = sin_cos_theta(u)
+        # conjugate side of the quadratic form supplies e^{-iZc}
+        v = s**2 * u_spectrum(mode, u)[idx] * taper_window(u, cfg) \
+            * np.exp(1j * z_center * c)
+        dz = c[:, None] - c[None, :]
+        kernel = np.exp(-eta.eta_z**2 * dz**2 / 2.0) \
+            * np.exp(-eta.eta_x**2 * (s[:, None]**2 + s[None, :]**2) / 2.0) \
+            * bessel_i(abs(n), eta.eta_x**2 * np.outer(s, s))
+        t_k, t_g = (float(np.real(np.conj(v * w) @ kernel @ (v * w)))
+                    for w in (wk, wg))
+        ref = float((np.abs(v * wk) ** 2 * np.diag(kernel)).sum())
+        if t_k < -1e-10 * max(ref, 1e-300):
+            raise ArithmeticError(
+                f"pair kernel lost positivity: {t_k} vs scale {ref}")
+        return t_k, t_g
+
+    t, _ = refine(estimate, oscillation_count(mode.kappa, z_center, 0.0, cfg),
+                  cfg)
     if t < 0.0:
         warnings.warn("clamping small negative pair-kernel quadrature result")
         t = 0.0
@@ -290,7 +280,7 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
     ex, ey, ez = (float(e) for e in eta_xyz)
     x0, y0, z0 = (float(x) for x in center)
     n = mode.m - sigma
-    prof = sigma_profile(mode, sigma)
+    idx = SIGMAS.index(sigma)
     if n_phi is None:
         n_phi = int(64 + 8 * np.ceil(abs(n) + order + np.hypot(x0, y0)))
     phik = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
@@ -306,38 +296,24 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
                + (pz * np.log(ez**2) if pz else 0.0)
                - gammaln(px + 1) - gammaln(py + 1) - gammaln(pz + 1))
         for px, py, pz in combos])
-    nosc = (2 * (abs(z0) + np.hypot(x0, y0)) + 4 * abs(mode.kappa) * cfg.window) \
-        / (2 * np.pi)
-    n_panels = max(cfg.min_panels,
-                   int(np.ceil(nosc * cfg.panels_per_oscillation)))
 
-    def b_vector(u, w):
+    def estimate(u, wk, wg):
         s, c = sin_cos_theta(u)
         kx = s[:, None] * np.cos(phik)[None, :]
         ky = s[:, None] * np.sin(phik)[None, :]
         kz = c[:, None] * np.ones((1, n_phi))
-        base = (s**2 * np.conj(prof(theta_from_u(u))) * taper_window(u, cfg)
-                * w)[:, None] \
+        base = (s**2 * np.conj(u_spectrum(mode, u)[idx])
+                * taper_window(u, cfg))[:, None] \
             * np.exp(-1j * n * phik)[None, :] / (2 * np.pi) \
             * np.exp(-1j * (kx * x0 + ky * y0 + kz * z0)) \
             * np.exp(-(ex**2 * kx**2 + ey**2 * ky**2 + ez**2 * kz**2) / 2.0) \
             * (2 * np.pi / n_phi)
-        out = np.empty(len(combos), dtype=complex)
-        for i, (px, py, pz) in enumerate(combos):
-            out[i] = (base * kx**px * ky**py * kz**pz).sum()
-        return out
+        b = np.array([(base * kx**px * ky**py * kz**pz).sum(axis=1)
+                      for px, py, pz in combos])
+        return (float(gam @ (np.abs(b @ w) ** 2)) for w in (wk, wg))
 
-    for attempt in range(cfg.max_refinements + 1):
-        u, wk, wg = panel_nodes(n_panels, -cfg.window, cfg.window)
-        b_k = b_vector(u, wk)
-        b_g = b_vector(u, wg)
-        t_k = float(gam @ (np.abs(b_k) ** 2))
-        t_g = float(gam @ (np.abs(b_g) ** 2))
-        if abs(t_k - t_g) <= cfg.rel_tol * max(t_k, 1e-30) + 1e-15:
-            return t_k
-        n_panels *= 2
-    raise QuadratureError("general rate quadrature did not settle",
-                          abs(t_k - t_g))
+    return refine(estimate, oscillation_count(mode.kappa, z0, np.hypot(x0, y0),
+                                              cfg), cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -383,7 +359,7 @@ class RateResult:
         }
 
 
-def _assemble(catalog, z_values, t_tables, weights, selector):
+def _assemble(catalog, z_values, t_tables, weights):
     """Fold per-(mode, sigma) T arrays into one RateResult per z.
 
     Summation order is fixed by the catalog: per family in first-appearance
@@ -401,7 +377,6 @@ def _assemble(catalog, z_values, t_tables, weights, selector):
             wsum = 0.0
             for s, t in zip(SIGMAS, tsig):
                 wsum += weights[s] * t
-            wsum *= selector.weight(mode)
             rows.append(ModeRate(mode.family, mode.m, mode.kappa, tsig, wsum))
             subtotals[rows[-1].label] += catalog.calibration * wsum
         total = 0.0
@@ -415,16 +390,13 @@ def _assemble(catalog, z_values, t_tables, weights, selector):
 
 
 def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
-              cfg=DEFAULT_QUADRATURE, threads=1, selector=None,
-              n_axial=5, n_radial=4):
+              cfg=DEFAULT_QUADRATURE, threads=1, n_axial=5, n_radial=4):
     """Calibrated total rate versus axial trap center.
 
     Independent (mode, sigma) tasks may run on a thread pool; results are
     reassembled in catalog order, so the output is identical for any thread
     count.
     """
-    if selector is None:
-        selector = DeltaAtTransition()
     z_values = np.asarray(z_values, dtype=float)
     weights = {s: dipole.sigma_weight(s) for s in SIGMAS}
     tasks = [(im, s) for im in range(len(catalog.modes))
@@ -440,16 +412,14 @@ def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
             tables = dict(zip(tasks, pool.map(run, tasks)))
     else:
         tables = {t: run(t) for t in tasks}
-    return _assemble(catalog, z_values, tables, weights, selector)
+    return _assemble(catalog, z_values, tables, weights)
 
 
 def total_rate(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
-               cfg=DEFAULT_QUADRATURE, selector=None,
-               n_axial=5, n_radial=4):
+               cfg=DEFAULT_QUADRATURE, n_axial=5, n_radial=4):
     """RateResult at a single axial trap center."""
     return rate_scan(catalog, dipole, eta, [float(z_center)], cfg,
-                     threads=1, selector=selector,
-                     n_axial=n_axial, n_radial=n_radial)[0]
+                     threads=1, n_axial=n_axial, n_radial=n_radial)[0]
 
 
 def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,
@@ -471,7 +441,7 @@ def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,
 
 
 def mode_table(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
-               cfg=DEFAULT_QUADRATURE, threads=1):
+               cfg=DEFAULT_QUADRATURE):
     """Per-mode calibrated contributions at one trap center, sorted by kappa.
 
     Returns a list of dicts with the calibrated contribution and its

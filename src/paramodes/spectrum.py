@@ -14,12 +14,8 @@ phi_k dependence stays exactly separable.
 
 import numpy as np
 
-from .core import (
-    ModeParams, E_MODE, B_MODE, SIGMAS, SIGMA_PLUS, SIGMA_MINUS, SIGMA_ZERO,
-    cartesian_from_circular,
-)
-
-_IDX = {SIGMA_PLUS: 0, SIGMA_MINUS: 1, SIGMA_ZERO: 2}
+from .core import ModeParams, B_MODE, SIGMAS, cartesian_from_circular
+from .numerics import sin_cos_theta
 
 
 def _check_theta(theta_k):
@@ -51,12 +47,15 @@ def cross_with_khat(triple, sin_t, cos_t):
     return yp, ym, y0
 
 
-def _spectrum_triple(mode: ModeParams, theta_k):
-    """Circular profile triple of the field spectrum, without the 1/(2 pi)."""
-    theta_k = _check_theta(theta_k)
-    sin_t = np.sin(theta_k)
-    cos_t = np.cos(theta_k)
-    pot = tuple(2 * np.pi * hertz_component(mode, s, theta_k) for s in SIGMAS)
+def _spectrum_triple(mode: ModeParams, sin_t, cos_t, phase):
+    """Circular profile triple (a_+, a_-, a_0) of the field spectrum.
+
+    Takes sin(theta_k), cos(theta_k) and the kappa phase
+    (tan theta_k/2)^{-2 i kappa}; in u = ln tan(theta_k/2) these are
+    sech u, -tanh u and e^{-2 i kappa u}.  f_sigma = a_sigma e^{i n phi_k}
+    / (2 pi).
+    """
+    pot = tuple(mode.coeff(s) * phase / sin_t for s in SIGMAS)
     out = cross_with_khat(pot, sin_t, cos_t)
     if mode.family == B_MODE:
         out = cross_with_khat(out, sin_t, cos_t)
@@ -64,15 +63,28 @@ def _spectrum_triple(mode: ModeParams, theta_k):
     return tuple(1j * y for y in out)
 
 
+def u_spectrum(mode: ModeParams, u):
+    """Profile triple (a_+, a_-, a_0) at u = ln tan(theta_k/2), without theta."""
+    u = np.asarray(u, dtype=float)
+    return _spectrum_triple(mode, *sin_cos_theta(u),
+                            np.exp(-2j * mode.kappa * u))
+
+
+def _theta_spectrum(mode: ModeParams, theta_k):
+    theta_k = _check_theta(theta_k)
+    phase = np.exp(-2j * mode.kappa * np.log(np.tan(theta_k / 2.0)))
+    return _spectrum_triple(mode, np.sin(theta_k), np.cos(theta_k), phase)
+
+
 def sigma_profile(mode: ModeParams, sigma):
     """Reduced 1D profile a_sigma with f_sigma = a_sigma(theta) e^{i n phi} / (2 pi).
 
     Returns a vectorized callable carrying .sigma and .winding.
     """
-    idx = _IDX[sigma]
+    idx = SIGMAS.index(sigma)
 
     def profile(theta_k):
-        return _spectrum_triple(mode, theta_k)[idx]
+        return _theta_spectrum(mode, theta_k)[idx]
 
     profile.sigma = sigma
     profile.winding = mode.m - sigma
@@ -81,9 +93,8 @@ def sigma_profile(mode: ModeParams, sigma):
 
 def mode_spectrum(mode: ModeParams, theta_k, phi_k):
     """Cartesian field spectrum f(theta_k, phi_k), shape (3,) + broadcast shape."""
-    theta_k = _check_theta(theta_k)
     phi_k = np.asarray(phi_k, dtype=float)
-    triple = _spectrum_triple(mode, theta_k)
+    triple = _theta_spectrum(mode, theta_k)
     comps = []
     for sigma, a in zip(SIGMAS, triple):
         n = mode.m - sigma

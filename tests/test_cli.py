@@ -1,9 +1,12 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paramodes.cli import main, RunConfig
+from paramodes.cli import main, RunConfig, build_parser, _load_config
 from paramodes.io import config_hash, format_float, write_csv
 from paramodes.presets import load_preset, preset_names
 
@@ -51,6 +54,63 @@ def test_validate_rejects_bad_scan(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.json", bad)
     assert main(["validate", "--config", cfg]) == 1
     assert "z_min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, named", [
+    (dict(TINY_RATE, ion={"name": "t", "wavelength_nm": 369.5}), "mass_amu"),
+    (dict(TINY_RATE, trap=5), "trap section"),
+    ([1, 2], "JSON object"),
+    (dict(TINY_RATE, catalog={"families": ["E m=0"],
+                              "kappa": {"values": [None]}}),
+     "catalog.kappa.values"),
+])
+def test_malformed_config_is_named_failure(tmp_path, capsys, payload, named):
+    cfg = _write(tmp_path, "bad.json", payload)
+    assert main(["validate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_config_overlay_merges_into_preset_sections(tmp_path):
+    cfg = _write(tmp_path, "axial.json", {"trap": {"axial_khz": 500.0}})
+    argv = ["validate", "--preset", "ybII", "--config", cfg]
+    assert main(argv) == 0
+    merged, _ = _load_config(build_parser().parse_args(argv))
+    preset = RunConfig.from_dict(load_preset("ybII"))
+    assert merged.eta.eta_x == preset.eta.eta_x
+    assert merged.eta.eta_z != preset.eta.eta_z
+
+
+# configuration fuzzing: JSON-like values under the keys the loader reads
+_KEYS = st.sampled_from([
+    "ion", "dipole", "trap", "catalog", "calibration_window", "scan", "mode",
+    "map", "name", "mass_amu", "wavelength_nm", "radial_khz", "axial_khz",
+    "center", "families", "kappa", "values", "start", "step_inner",
+    "transition", "step_outer", "max", "weight", "amplitude", "width",
+    "coeffs", "z_min", "z_max", "z_step", "family", "m", "component",
+    "rho_max", "n_rho", "z_center", "z_half_span", "n_z", "n_iso",
+]) | st.text(max_size=4)
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=6)
+           | st.sampled_from(["E", "B", "E m=0", "B |m|=1", "z", "total"]))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=6),
+    max_leaves=20)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(preset=st.sampled_from([None, "ybII", "fig1a"]),
+       payload=st.dictionaries(_KEYS, _JSON, max_size=8) | st.lists(_JSON, max_size=3))
+def test_validate_fuzzed_config_exits_cleanly(preset, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
+        argv = ["validate", "--config", path]
+        if preset:
+            argv += ["--preset", preset]
+        assert main(argv) in (0, 1, 2)
 
 
 def test_missing_section_is_failure(tmp_path, capsys):

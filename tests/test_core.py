@@ -3,10 +3,11 @@ import pytest
 
 from paramodes.core import (
     C_LIGHT, SIGMAS,
-    ModeParams, CircularComponent, MirrorSpec, IonSpec, TrapSpec, DipoleSpec,
+    ModeParams, IonSpec, TrapSpec, DipoleSpec,
     to_dimensionless, from_dimensionless,
     circular_components, cartesian_from_circular, dot_circular,
 )
+from paramodes.spectrum import sigma_profile
 
 
 def test_dimensionless_round_trip():
@@ -74,15 +75,12 @@ def test_mode_params_validation():
 
 
 def test_winding_number():
-    assert CircularComponent(sigma=1, m=1).winding == 0
-    assert CircularComponent(sigma=-1, m=1).winding == 2
-    assert CircularComponent(sigma=0, m=-1).winding == -1
-
-
-def test_mirror_focal_length_dimensionless():
-    mirror = MirrorSpec(focal_length=2.1e-3)
-    omega = C_LIGHT / 29.37e-9
-    assert mirror.focal_length_dimensionless(omega) == pytest.approx(71501.53, rel=1e-4)
+    def winding(m, sigma):
+        mode = ModeParams(omega=1.0, m=m, kappa=0.0, family="E")
+        return sigma_profile(mode, sigma).winding
+    assert winding(1, 1) == 0
+    assert winding(1, -1) == 2
+    assert winding(-1, 0) == -1
 
 
 def test_ion_transition_frequency(ybii_ion):

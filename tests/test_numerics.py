@@ -3,7 +3,7 @@ import pytest
 
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE,
-    panel_nodes, taper_window, angular_nodes, integrate_adaptive,
+    panel_nodes, taper_window, integrate_adaptive,
     sin_cos_theta, theta_from_u, u_from_theta,
     bessel_j, bessel_i, bessel_j_series, bessel_i_series,
 )
@@ -94,6 +94,8 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.5)
+    with pytest.raises(ValueError):
+        QuadratureConfig(max_refinements=-1)
     cfg = DEFAULT_QUADRATURE.replace(rel_tol=1e-6)
     assert cfg.rel_tol == 1e-6
     assert cfg.window == DEFAULT_QUADRATURE.window

@@ -4,8 +4,9 @@ import pytest
 from paramodes.core import ModeParams, DipoleSpec, EPS0, HBAR, C_LIGHT
 from paramodes.trap import LambDicke
 from paramodes.fieldeval import field_at_point
+from paramodes.numerics import DEFAULT_QUADRATURE, QuadratureError
 from paramodes.rates import (
-    ModeCatalog, DeltaAtTransition, family_label,
+    ModeCatalog, family_label,
     build_ladder, build_catalog, calibrate,
     mode_contribution, mode_contribution_direct, mode_contribution_general,
     total_rate, rate_scan, mode_table, gamma0,
@@ -38,6 +39,8 @@ def test_build_ladder_rejects_bad_rules():
         build_ladder(0.0, -0.1, 1.0, 0.4, 6.0)
     with pytest.raises(ValueError):
         build_ladder(7.0, 0.3, 1.0, 0.4, 6.0)
+    with pytest.raises(ValueError):
+        build_ladder(0.0, 1e-4, 1.0, 0.4, 6.0)  # 120000 rungs
 
 
 def test_build_catalog_families_and_weights():
@@ -93,6 +96,21 @@ def test_engine_paths_agree(ybii_eta):
             mode, sigma, (ybii_eta.eta_x, ybii_eta.eta_y, ybii_eta.eta_z),
             (0.0, 0.0, z), order=6)
         assert general == pytest.approx(fast, rel=1e-8)
+
+
+def test_rate_paths_raise_when_refinement_is_exhausted(ybii_eta):
+    cfg = DEFAULT_QUADRATURE.replace(max_refinements=0,
+                                     panels_per_oscillation=0.1)
+    mode = ModeParams(omega=1.0, m=0, kappa=5.6, family="E")
+    eta_xyz = (ybii_eta.eta_x, ybii_eta.eta_y, ybii_eta.eta_z)
+    for path in (
+            lambda: mode_contribution(mode, 0, ybii_eta, -11.2, cfg),
+            lambda: mode_contribution_direct(mode, 0, ybii_eta, -11.2, cfg),
+            lambda: mode_contribution_general(mode, 0, eta_xyz,
+                                              (0.0, 0.0, -11.2), cfg)):
+        with pytest.raises(QuadratureError) as err:
+            path()
+        assert err.value.residual > 0.0
 
 
 def test_point_trap_limit_reduces_to_field_intensity():
@@ -200,12 +218,6 @@ def test_rate_result_serialization(ybii_eta, dipole_axial):
     assert d["total"] == res.total
     assert len(d["modes"]) == len(res.rows)
     assert set(d["families"]) == {"E m=0"}
-
-
-def test_selector_weight_default():
-    sel = DeltaAtTransition()
-    mode = ModeParams(omega=1.0, m=0, kappa=0.3, family="E")
-    assert sel.weight(mode) == 1.0
 
 
 def test_free_space_rate_formula():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from paramodes.core import ModeParams, SIGMAS, circular_components, cartesian_from_circular
+from paramodes.numerics import theta_from_u, u_from_theta
 from paramodes.spectrum import (
     hertz_component, cross_with_khat, sigma_profile, mode_spectrum,
-    khat, transversality_residual,
+    khat, transversality_residual, u_spectrum,
 )
 
 
@@ -80,6 +81,20 @@ def test_sigma_profile_consistent_with_full_spectrum():
         assert n == mode.m - sigma
         want = prof(theta) * np.exp(1j * n * phi) / (2 * np.pi)
         assert np.allclose(comp, want, atol=1e-14)
+
+
+def test_u_spectrum_matches_theta_adapter():
+    # u is recomputed from the theta grid so both paths see the same angles
+    theta = theta_from_u(np.linspace(-8.0, 8.0, 401))
+    u = u_from_theta(theta)
+    for family in ("E", "B"):
+        for m in (-1, 0, 1):
+            for kappa in (-3.7, 0.0, 0.64, 5.6):
+                mode = ModeParams(omega=1.0, m=m, kappa=kappa, family=family)
+                for sigma, got in zip(SIGMAS, u_spectrum(mode, u)):
+                    want = sigma_profile(mode, sigma)(theta)
+                    scale = max(np.max(np.abs(want)), 1e-300)
+                    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 def test_b_mode_is_khat_cross_e_mode():

@@ -26,7 +26,7 @@ from .io import write_csv, write_json, write_npz, config_hash
 log = logging.getLogger("paramodes")
 
 _KHZ = 2.0 * np.pi * 1e3  # secular frequencies are quoted in kHz
-_MAX_GRID = 100_000       # bounds z grids before they are allocated
+_MAX_GRID = 100_000       # bounds z and map grids before they are allocated
 
 
 class UsageError(Exception):
@@ -125,6 +125,11 @@ class RunConfig:
             radial = _field(trap, "trap", "radial_khz") * _KHZ
             axial = _field(trap, "trap", "axial_khz") * _KHZ
             center = _vector(trap.get("center", (0, 0, 0)), "trap.center", 3)
+            if any(center):
+                raise ValueError(
+                    "trap.center must be [0, 0, 0]: no engine reads an "
+                    "off-origin center; rate commands scan z on the axis "
+                    "through the 'scan' section or --z")
             cfg.trap = TrapSpec(center=center, lambda_x=radial,
                                 lambda_y=radial, lambda_z=axial)
             cfg.eta = LambDicke.from_trap(cfg.trap, cfg.ion.omega, cfg.ion.mass)
@@ -174,6 +179,10 @@ class RunConfig:
             if min(spec["n_rho"], spec["n_z"], spec["n_iso"]) < 2 \
                     or spec["rho_max"] <= 0 or spec["z_half_span"] <= 0:
                 raise ValueError("map grid must have positive extent and >= 2 points")
+            if spec["n_z"] * spec["n_rho"] > _MAX_GRID:
+                raise ValueError(f"map grid n_z * n_rho exceeds {_MAX_GRID} points")
+            if spec["n_iso"] ** 3 > _MAX_GRID:
+                raise ValueError(f"map grid n_iso^3 exceeds {_MAX_GRID} points")
             cfg.map_spec = spec
         return cfg
 

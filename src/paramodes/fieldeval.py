@@ -21,7 +21,7 @@ import numpy as np
 from .core import ModeParams, SIGMAS, cartesian_from_circular
 from .spectrum import sigma_profile, mode_spectrum, u_spectrum
 from .numerics import (
-    DEFAULT_QUADRATURE, QuadratureError, oscillation_count,
+    DEFAULT_QUADRATURE, QuadratureError, oscillation_count, refine,
     taper_window, sin_cos_theta, theta_from_u, bessel_j, integrate_adaptive,
 )
 
@@ -52,27 +52,43 @@ class FieldSample:
         return 2 * abs(cp) ** 2 + 2 * abs(cm) ** 2 + abs(c0) ** 2
 
 
-def _component_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
-    """Per-sigma reduced integrals at fixed z, vectorized over an array of rho.
+# rho values and z values per tile of the field kernel's working set
+_BLOCK = 32
 
-    Returns dict sigma -> array over rho (winding phase i^n e^{i n phi} not
-    yet applied).
+
+def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
+    """The field kernel: reduced integrals of the three sigma channels,
+    shape (3, n_z, n_rho) in SIGMAS order, without the winding phase.
+
+    One refine() over the whole request, sized by max|z| and max rho, with
+    one convergence scale per sigma channel.  Each grid builds the spectrum
+    once and one J_|n|(rho s) table per distinct |n| (J_{-n} = (-1)^n J_n),
+    in tiles of _BLOCK rho and z values.  The node sums run in einsum, not
+    in threaded BLAS, so the bits do not depend on the BLAS thread count.
     """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    nosc = oscillation_count(mode.kappa, z, float(rho.max(initial=0.0)), cfg)
-    out = {}
-    for idx, sigma in enumerate(SIGMAS):
-        n = mode.m - sigma
+    rho, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (rho, z))
+    ns = [mode.m - sigma for sigma in SIGMAS]
+    sign = np.array([(-1.0) ** min(n, 0) for n in ns])[:, None]
 
-        def values(u, idx=idx, n=n):
-            s, c = sin_cos_theta(u)
-            base = s**2 * u_spectrum(mode, u)[idx] * np.exp(1j * z * c) \
-                * taper_window(u, cfg)
-            return base[None, :] * bessel_j(n, rho[:, None] * s[None, :])
+    def estimate(u, wk, wg):
+        s, c = sin_cos_theta(u)
+        a = sign * np.array(u_spectrum(mode, u)) * (s**2 * taper_window(u, cfg))
+        w = np.stack((wk, wg))[:, None, :]
+        out = np.empty((2, 3, len(z), len(rho)), dtype=complex)
+        for r in range(0, len(rho), _BLOCK):
+            rb = slice(r, r + _BLOCK)
+            x = np.multiply.outer(rho[rb], s)
+            J = {k: bessel_j(k, x) for k in {abs(n) for n in ns}}
+            A = np.stack([J[abs(n)] * a_n for n, a_n in zip(ns, a)])
+            for q in range(0, len(z), _BLOCK):
+                zb = slice(q, q + _BLOCK)
+                phase = w * np.exp(1j * np.multiply.outer(z[zb], c))
+                out[:, :, zb, rb] = np.einsum("srn,kzn->kszr", A, phase,
+                                              optimize=False)
+        return out[0], out[1]
 
-        est, _ = integrate_adaptive(values, nosc, cfg)
-        out[sigma] = est
-    return out
+    return refine(estimate, oscillation_count(mode.kappa, np.abs(z).max(),
+                                              rho.max(), cfg), cfg)[0]
 
 
 def field_at_point(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE):
@@ -82,12 +98,10 @@ def field_at_point(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE):
         raise ValueError("position must be finite")
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    ints = _component_integrals(mode, [rho], z, cfg)
-    comps = {}
-    for sigma in SIGMAS:
-        n = mode.m - sigma
-        comps[sigma] = _ipow(n) * np.exp(1j * n * phi) * ints[sigma][0]
-    return FieldSample((rho, phi, z), comps)
+    ints = _field_integrals(mode, rho, z, cfg)[:, 0, 0]
+    return FieldSample((rho, phi, z), {
+        sigma: _ipow(n) * np.exp(1j * n * phi) * amp
+        for sigma, n, amp in zip(SIGMAS, (mode.m - s for s in SIGMAS), ints)})
 
 
 def field_2d_oracle(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE,
@@ -185,74 +199,57 @@ def stationary_phase_field(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE):
     return FieldSample((rho, phi, z), comps)
 
 
+# weight of each sigma channel's |.|^2 in a component, in SIGMAS order; the
+# circular-basis metric (|e_+-|^2 = 2, |e_0|^2 = 1) has no cross terms
+_COMPONENTS = {"z": (0, 0, 1), "+": (1, 0, 0), "-": (0, 1, 0), "total": (2, 2, 1)}
+
+
+def _intensity(ints, component):
+    return np.einsum("s,szr->zr", _COMPONENTS[component], np.abs(ints) ** 2)
+
+
 def intensity_map(mode: ModeParams, component, rho_values, z_values,
                   cfg=DEFAULT_QUADRATURE):
     """Relative intensity of one field component on a (rho, z) grid.
 
     component: one of 'z', '+', '-' (circular channels) or 'total'.
-    Returns (map, mask): map is |component|^2 normalized to its grid max,
-    mask flags points where quadrature failed (value set to NaN).
+    Returns (map, mask) of shape (n_z, n_rho): map is |component|^2
+    normalized to its grid max.  The whole grid shares one quadrature, so if
+    it fails (QuadratureError) every value is NaN and every mask entry set.
     """
-    rho_values = np.asarray(rho_values, dtype=float)
-    z_values = np.asarray(z_values, dtype=float)
-    raw = np.empty((len(z_values), len(rho_values)))
-    mask = np.zeros_like(raw, dtype=bool)
-    sel = {"z": 0, "+": 1, "-": -1}
-    for i, z in enumerate(z_values):
-        try:
-            ints = _component_integrals(mode, rho_values, float(z), cfg)
-            if component == "total":
-                row = 2 * np.abs(ints[1])**2 + 2 * np.abs(ints[-1])**2 \
-                    + np.abs(ints[0])**2
-            else:
-                row = np.abs(ints[sel[component]])**2
-            raw[i] = row
-        except QuadratureError:
-            raw[i] = np.nan
-            mask[i] = True
-    peak = np.nanmax(raw)
-    if peak > 0:
-        raw = raw / peak
-    return raw, mask
+    if component not in _COMPONENTS:
+        raise ValueError(f"component {component!r} not in {list(_COMPONENTS)}")
+    shape = (np.size(z_values), np.size(rho_values))
+    try:
+        ints = _field_integrals(mode, rho_values, z_values, cfg)
+    except QuadratureError:
+        return np.full(shape, np.nan), np.ones(shape, dtype=bool)
+    raw = _intensity(ints, component)
+    peak = raw.max()
+    return (raw / peak if peak > 0 else raw), np.zeros(shape, dtype=bool)
 
 
 def axis_intensity_scan(mode: ModeParams, z_values, cfg=DEFAULT_QUADRATURE):
     """|on-axis n=0 component|^2 along z; other windings vanish at rho=0."""
-    z_values = np.asarray(z_values, dtype=float)
     if mode.m not in SIGMAS:
         raise ValueError("mode has no winding-zero component for |m| > 1")
-    idx = SIGMAS.index(mode.m)  # n = m - sigma = 0
-    nosc = oscillation_count(mode.kappa, float(np.abs(z_values).max()), 0.0,
-                             cfg)
-
-    def values(u):
-        s, c = sin_cos_theta(u)
-        base = s**2 * u_spectrum(mode, u)[idx] * taper_window(u, cfg)
-        return base[None, :] * np.exp(1j * np.outer(z_values, c))
-
-    est, _ = integrate_adaptive(values, nosc, cfg)
-    return np.abs(est) ** 2
+    ints = _field_integrals(mode, 0.0, z_values, cfg)
+    return np.abs(ints[SIGMAS.index(mode.m), :, 0]) ** 2  # n = m - sigma = 0
 
 
 def isointensity_grid(mode: ModeParams, level, x_values, y_values, z_values,
                       cfg=DEFAULT_QUADRATURE):
     """Total |E|^2 on a 3D Cartesian grid plus the iso-level threshold.
 
+    Only the distinct rho = hypot(x, y) are evaluated and then broadcast,
+    so the grid is exactly symmetric wherever the (x, y) points are.
     Returns (grid, threshold) with threshold = level * grid max; contouring
     is left to external tools.
     """
     if not 0 < level <= 1:
         raise ValueError("level must lie in (0, 1]")
-    x = np.asarray(x_values, dtype=float)
-    y = np.asarray(y_values, dtype=float)
-    z = np.asarray(z_values, dtype=float)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    rho = np.hypot(xx, yy).ravel()
-    grid = np.empty((len(x), len(y), len(z)))
-    for k, zk in enumerate(z):
-        ints = _component_integrals(mode, rho, float(zk), cfg)
-        # circular-basis metric: cross terms between sigma channels vanish
-        total = 2 * np.abs(ints[1])**2 + 2 * np.abs(ints[-1])**2 \
-            + np.abs(ints[0])**2
-        grid[:, :, k] = total.reshape(len(x), len(y))
+    xx, yy = np.meshgrid(x_values, y_values, indexing="ij")
+    rho, where = np.unique(np.hypot(xx, yy), return_inverse=True)
+    total = _intensity(_field_integrals(mode, rho, z_values, cfg), "total")
+    grid = np.ascontiguousarray(np.moveaxis(total[:, where], 0, -1))
     return grid, level * float(grid.max())

@@ -121,20 +121,23 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE):
 
     estimate(u, wk, wg) returns the (Kronrod, Gauss) pair of whatever the
     integrals reduce to (e.g. a quadratic form) on the nodes u.  Panels
-    double until the pair agrees to rel_tol of the largest Kronrod magnitude,
-    plus an absolute floor.  Returns (Kronrod estimate, residual).
+    double until, for each index of the estimate's leading axis, the pair
+    agrees to rel_tol of that row's largest Kronrod magnitude, plus an
+    absolute floor; an estimate with ndim <= 1 is one row.  Returns
+    (Kronrod estimate, largest residual).
     """
     n_panels = max(cfg.min_panels,
                    int(np.ceil(n_oscillations * cfg.panels_per_oscillation)))
     for _ in range(cfg.max_refinements + 1):
         est_k, est_g = estimate(*panel_nodes(n_panels, -cfg.window, cfg.window))
-        resid = float(np.max(np.abs(est_k - est_g), initial=0.0))
-        scale = max(float(np.max(np.abs(est_k), initial=0.0)), 1e-30)
-        if resid <= cfg.rel_tol * scale + 1e-15:
-            return est_k, resid
+        rows = len(est_k) if np.ndim(est_k) > 1 else 1
+        resid = np.abs(est_k - est_g).reshape(rows, -1).max(axis=1, initial=0.0)
+        scale = np.abs(est_k).reshape(rows, -1).max(axis=1, initial=0.0)
+        if np.all(resid <= cfg.rel_tol * np.maximum(scale, 1e-30) + 1e-15):
+            return est_k, float(resid.max())
         n_panels *= 2
     raise QuadratureError("quadrature did not converge after "
-                          f"{cfg.max_refinements} refinements", resid)
+                          f"{cfg.max_refinements} refinements", float(resid.max()))
 
 
 def integrate_adaptive(values_at, n_oscillations, cfg=DEFAULT_QUADRATURE):

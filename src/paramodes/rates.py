@@ -157,6 +157,13 @@ def build_catalog(rule, omega):
     wrule = rule.get("weight") or {}
     amp = float(wrule.get("amplitude", 0.0))
     width = float(wrule.get("width", 1.0))
+    if not (np.isfinite(amp) and amp > -1.0):
+        raise ValueError(f"catalog.weight.amplitude must be finite and > -1 "
+                         f"(the weight 1 + A exp(-(kappa/w)^2) must stay "
+                         f"positive), got {amp!r}")
+    if not (np.isfinite(width) and width > 0.0):
+        raise ValueError(f"catalog.weight.width must be finite and > 0, "
+                         f"got {width!r}")
     coeffs = tuple(complex(c) for c in rule.get("coeffs", (1.0, -1.0, 0.0)))
     modes = []
     for fam, m in pairs:

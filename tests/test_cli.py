@@ -63,6 +63,15 @@ def test_validate_rejects_bad_scan(tmp_path, capsys):
     (dict(TINY_RATE, catalog={"families": ["E m=0"],
                               "kappa": {"values": [None]}}),
      "catalog.kappa.values"),
+    (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"],
+                                  weight={"amplitude": -2})),
+     "catalog.weight.amplitude"),
+    (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"], weight={"width": 0})),
+     "catalog.weight.width"),
+    (dict(TINY_RATE, trap=dict(TINY_RATE["trap"], center=[3, 0, 7])),
+     "trap.center"),
+    (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_rho=1_000_000_000)), "n_rho"),
+    (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_iso=100_000)), "n_iso"),
 ])
 def test_malformed_config_is_named_failure(tmp_path, capsys, payload, named):
     cfg = _write(tmp_path, "bad.json", payload)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from paramodes import fieldeval
 from paramodes.core import ModeParams, SIGMAS
+from paramodes.numerics import DEFAULT_QUADRATURE
 from paramodes.fieldeval import (
     field_at_point, field_2d_oracle, localization_plane,
     stationary_phase_angle, stationary_phase_field, stationary_phase_prefactor,
@@ -89,6 +91,16 @@ def test_axis_scan_consistent_with_pointwise():
     for z, val in zip(zs, scan):
         point = abs(field_at_point(mode, (0.0, 0.0, z)).sigma_components[0]) ** 2
         assert val == pytest.approx(point, rel=1e-10)
+    # the map's channels and metric against pointwise samples; min_panels
+    # puts every call on one grid, so only the kernel's assembly differs
+    cfg = DEFAULT_QUADRATURE.replace(min_panels=240)
+    mode = ModeParams(omega=1.0, m=1, kappa=-0.64, family="E")
+    rho, zs = np.array([0.0, 0.6, 1.3]), np.array([-1.0, 0.4, 1.5])
+    grid, mask = intensity_map(mode, "total", rho, zs, cfg)
+    point = np.array([[field_at_point(mode, (r, 0.3, z), cfg).intensity
+                       for r in rho] for z in zs])
+    assert not mask.any()
+    assert np.max(np.abs(grid - point / point.max())) <= 1e-12
 
 
 def test_stationary_phase_angle_cases():
@@ -157,6 +169,33 @@ def test_isointensity_grid_threshold():
     assert grid.shape == (5, 5, 4)
     assert thr == pytest.approx(0.5 * grid.max())
     # m=0 intensity is axisymmetric: swapping x and y is a symmetry
-    assert np.allclose(grid, np.transpose(grid, (1, 0, 2)), rtol=1e-10, atol=1e-12)
+    assert np.array_equal(grid, np.transpose(grid, (1, 0, 2)))
     with pytest.raises(ValueError):
         isointensity_grid(mode, 1.5, xy, xy, zs)
+
+
+def test_intensity_map_failure_masks_whole_grid():
+    cfg = DEFAULT_QUADRATURE.replace(max_refinements=0,
+                                     panels_per_oscillation=0.1)
+    mode = ModeParams(omega=1.0, m=0, kappa=-10.4, family="E")
+    grid, mask = intensity_map(mode, "total", np.linspace(0.0, 2.0, 3),
+                               np.linspace(18.0, 24.0, 4), cfg)
+    assert grid.shape == mask.shape == (4, 3)
+    assert np.isnan(grid).all() and mask.all()
+
+
+def test_intensity_map_rejects_unknown_component(monkeypatch):
+    def no_quadrature(*args, **kw):
+        raise AssertionError("quadrature started before the check")
+    monkeypatch.setattr(fieldeval, "refine", no_quadrature)
+    with pytest.raises(ValueError, match="'z'.*'total'"):
+        intensity_map(_axial_mode(-0.64), "x", [0.0, 1.0], [0.0, 1.0])
+
+
+def test_field_kernel_blocks_match_single_block(monkeypatch):
+    mode = ModeParams(omega=1.0, m=1, kappa=-0.64, family="E")
+    rho, zs = np.linspace(0.0, 2.0, 5), np.linspace(-0.5, 3.0, 7)
+    whole, _ = intensity_map(mode, "total", rho, zs)
+    monkeypatch.setattr(fieldeval, "_BLOCK", 2)
+    tiled, _ = intensity_map(mode, "total", rho, zs)
+    assert np.max(np.abs(tiled - whole)) <= 1e-13 * np.max(whole)

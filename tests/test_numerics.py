@@ -46,6 +46,12 @@ def test_adaptive_refinement_reaches_tolerance():
     want = np.sqrt(np.pi) * np.exp(-25.0 / 4.0)
     assert float(np.real(est)) == pytest.approx(want, rel=1e-9)
 
+    # each row of the leading axis converges on its own scale
+    def rows(u):
+        return np.stack([np.full_like(u, 1e6), values(u)])[:, None, :]
+    est, _ = integrate_adaptive(rows, 1.0, cfg)
+    assert float(np.real(est[1, 0])) == pytest.approx(want, rel=1e-9)
+
 
 def test_quadrature_failure_raises_with_residual():
     cfg = DEFAULT_QUADRATURE.replace(min_panels=2, panels_per_oscillation=0.1,

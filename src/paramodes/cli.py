@@ -17,7 +17,9 @@ from .core import (
     E_MODE, B_MODE,
 )
 from .trap import LambDicke
-from .rates import build_catalog, calibrate, rate_scan, total_rate, mode_table
+from .rates import (
+    RATE_QUADRATURE, build_catalog, calibrate, rate_scan, total_rate, mode_table,
+)
 from .fieldeval import intensity_map, isointensity_grid
 from .numerics import DEFAULT_QUADRATURE, QuadratureError
 from .presets import load_preset, preset_names
@@ -221,8 +223,8 @@ def _load_config(args):
     return RunConfig.from_dict(raw), raw
 
 
-def _quadrature(args):
-    cfg = DEFAULT_QUADRATURE
+def _quadrature(args, cfg=DEFAULT_QUADRATURE):
+    """cfg, the field or the rate quadrature, with --tolerance applied."""
     if args.tolerance is not None:
         cfg = cfg.replace(rel_tol=args.tolerance)
     return cfg
@@ -264,7 +266,7 @@ def cmd_field_map(args):
 def cmd_rate_scan(args):
     cfg, raw = _load_config(args)
     cfg.require("scan_grid")
-    quad = _quadrature(args)
+    quad = _quadrature(args, RATE_QUADRATURE)
     catalog = _calibrated_catalog(cfg, raw, args, quad)
     results = rate_scan(catalog, cfg.dipole, cfg.eta, cfg.scan_grid, quad,
                         threads=args.threads)
@@ -283,7 +285,7 @@ def cmd_rate_scan(args):
 
 def cmd_mode_table(args):
     cfg, raw = _load_config(args)
-    quad = _quadrature(args)
+    quad = _quadrature(args, RATE_QUADRATURE)
     catalog = _calibrated_catalog(cfg, raw, args, quad)
     table = mode_table(catalog, cfg.dipole, cfg.eta, args.z, quad)
     rows = [(t["family"], t["m"], t["kappa"], t["contribution"], t["fraction"])
@@ -298,7 +300,7 @@ def cmd_mode_table(args):
 
 def cmd_perp_decomposition(args):
     cfg, raw = _load_config(args)
-    quad = _quadrature(args)
+    quad = _quadrature(args, RATE_QUADRATURE)
     catalog = _calibrated_catalog(cfg, raw, args, quad)
     result = total_rate(catalog, cfg.dipole, cfg.eta, args.z, quad)
     payload = {

@@ -29,11 +29,15 @@ from scipy.special import gammaln
 
 from .core import ModeParams, DipoleSpec, SIGMAS, HBAR, C_LIGHT, EPS0
 from .trap import LambDicke
-from .spectrum import u_spectrum
+from .spectrum import unit_spectra
 from .numerics import (
     DEFAULT_QUADRATURE, oscillation_count, refine, taper_window,
     sin_cos_theta, bessel_i,
 )
+
+# The rate entry points start at 2 panels per oscillation, and refine()
+# doubles the grid where that falls short; fields keep the default 10.
+RATE_QUADRATURE = DEFAULT_QUADRATURE.replace(panels_per_oscillation=2.0)
 
 
 def family_label(family, m):
@@ -197,44 +201,84 @@ def _series_terms(n_abs, eta_x, eta_z, n_axial, n_radial):
     return terms
 
 
-def _scan_T(mode, sigma, eta: LambDicke, z_values, cfg=DEFAULT_QUADRATURE,
-            n_axial=5, n_radial=4):
-    """T_sigma of one mode over an array of axial trap centers.
+# u-nodes per block of the rate engine's node sum (70 K15 panels).  A
+# block's partial sum is the unit of work that `threads` schedules, and the
+# partial sums are added in block order, so the bits never depend on the
+# thread count; the block also bounds the working set.
+_U_BLOCK = 1050
 
-    Separable expansion of the pair kernel; each refinement builds the
-    series rows and the trap-phase matrix once and contracts them with the
-    Kronrod and the Gauss weights.
+
+def _spectra(modes, sigma, u, s, c):
+    """a_sigma(u) of modes of one family, shape (len(modes), len(u)).
+
+    One unit_spectra evaluation on the nodes, combined with each mode's
+    coefficients and times its kappa phase e^{-2 i kappa u}.
+    """
+    unit = unit_spectra(modes[0].family, s, c)[SIGMAS.index(sigma)]
+    coeffs = np.array([mode.coeffs for mode in modes])
+    kappa = np.array([mode.kappa for mode in modes])
+    return sum(coeffs[:, j, None] * unit[j] for j in range(3)) \
+        * np.exp(-2j * np.multiply.outer(kappa, u))
+
+
+def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, n_axial,
+               n_radial, pool_map=map):
+    """T_sigma[k, z] of modes sharing one family and winding m, over an
+    array of axial trap centers: the rate engine.
+
+    kappa and the coefficients enter T only through the spectrum, so every
+    mode shares one grid, sized by the largest |kappa| and |z|:
+    G[k, r, z] = sum_u A[k, u] M[u, r, z] with
+    A = w_u conj(a_sigma(u)) (Kronrod and Gauss weights stacked) and
+    M = base(u) row_r(u) e^{-i z cos theta}, then
+    T = sum_r gamma_r |G|^2.  The node sum runs in blocks of _U_BLOCK nodes
+    through pool_map, and refine() tests each mode's row on its own scale.
     """
     if not eta.axisymmetric:
         raise NotImplementedError(
             "fast path assumes eta_x == eta_y; use mode_contribution_general")
     z_values = np.asarray(z_values, dtype=float)
-    idx = SIGMAS.index(sigma)
-    terms = _series_terms(abs(mode.m - sigma), eta.eta_x, eta.eta_z,
+    terms = _series_terms(abs(modes[0].m - sigma), eta.eta_x, eta.eta_z,
                           n_axial, n_radial)
     if not terms:
-        return np.zeros(len(z_values))
+        return np.zeros((len(modes), len(z_values)))
     p, e_r, gam = (np.array(t) for t in zip(*terms))
-    zmax = float(np.abs(z_values).max(initial=0.0))
+
+    def block(nodes):
+        u, wk, wg = nodes
+        s, c = sin_cos_theta(u)
+        conj_a = np.conj(_spectra(modes, sigma, u, s, c))
+        base = s**2 * taper_window(u, cfg) \
+            * np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
+        # (node, row) powers c^p s^e_r, C-ordered so M reshapes without a copy
+        rows = base[:, None] \
+            * np.take(np.vander(c, p.max() + 1, increasing=True), p, axis=1) \
+            * np.take(np.vander(s, e_r.max() + 1, increasing=True), e_r, axis=1)
+        phase = np.exp(-1j * np.multiply.outer(c, z_values))
+        M = (rows[:, :, None] * phase[:, None, :]).reshape(len(u), -1)
+        return np.concatenate((conj_a * wk, conj_a * wg)) @ M
 
     def estimate(u, wk, wg):
-        s, c = sin_cos_theta(u)
-        base = s**2 * np.conj(u_spectrum(mode, u)[idx]) * taper_window(u, cfg) \
-            * np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
-        rows = base * c ** p[:, None] * s ** e_r[:, None]
-        E = np.multiply.outer(-1j * c, z_values)
-        np.exp(E, out=E)
-        return (gam @ (np.abs((rows * w) @ E) ** 2) for w in (wk, wg))
+        parts = pool_map(block, [(u[i:i + _U_BLOCK], wk[i:i + _U_BLOCK],
+                                  wg[i:i + _U_BLOCK])
+                                 for i in range(0, len(u), _U_BLOCK)])
+        G = next(parts)
+        for part in parts:
+            G += part
+        G = np.abs(G.reshape(2, len(modes), len(gam), len(z_values))) ** 2
+        return np.einsum("r,wkrz->wkz", gam, G, optimize=False)
 
-    return refine(estimate, oscillation_count(mode.kappa, zmax, 0.0, cfg),
-                  cfg)[0]
+    kmax = max(abs(mode.kappa) for mode in modes)
+    zmax = float(np.abs(z_values).max(initial=0.0))
+    return refine(estimate, oscillation_count(kmax, zmax, 0.0, cfg), cfg)[0]
 
 
 def mode_contribution(mode, sigma, eta: LambDicke, z_center,
-                      cfg=DEFAULT_QUADRATURE, n_axial=5, n_radial=4):
-    """Positive emission weight T_sigma of one mode at axial trap center."""
-    return float(_scan_T(mode, sigma, eta, [float(z_center)], cfg,
-                         n_axial, n_radial)[0])
+                      cfg=RATE_QUADRATURE, n_axial=5, n_radial=4):
+    """Positive emission weight T_sigma of one mode at axial trap center;
+    a one-row view of the rate engine."""
+    return float(_catalog_T([mode], sigma, eta, [float(z_center)], cfg,
+                            n_axial, n_radial)[0, 0])
 
 
 def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
@@ -248,13 +292,12 @@ def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
         raise NotImplementedError("direct path assumes eta_x == eta_y")
     z_center = float(z_center)
     n = mode.m - sigma
-    idx = SIGMAS.index(sigma)
 
     def estimate(u, wk, wg):
         s, c = sin_cos_theta(u)
         # conjugate side of the quadratic form supplies e^{-iZc}
-        v = s**2 * u_spectrum(mode, u)[idx] * taper_window(u, cfg) \
-            * np.exp(1j * z_center * c)
+        v = s**2 * _spectra([mode], sigma, u, s, c)[0] \
+            * taper_window(u, cfg) * np.exp(1j * z_center * c)
         dz = c[:, None] - c[None, :]
         kernel = np.exp(-eta.eta_z**2 * dz**2 / 2.0) \
             * np.exp(-eta.eta_x**2 * (s[:, None]**2 + s[None, :]**2) / 2.0) \
@@ -287,7 +330,6 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
     ex, ey, ez = (float(e) for e in eta_xyz)
     x0, y0, z0 = (float(x) for x in center)
     n = mode.m - sigma
-    idx = SIGMAS.index(sigma)
     if n_phi is None:
         n_phi = int(64 + 8 * np.ceil(abs(n) + order + np.hypot(x0, y0)))
     phik = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
@@ -309,7 +351,7 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
         kx = s[:, None] * np.cos(phik)[None, :]
         ky = s[:, None] * np.sin(phik)[None, :]
         kz = c[:, None] * np.ones((1, n_phi))
-        base = (s**2 * np.conj(u_spectrum(mode, u)[idx])
+        base = (s**2 * np.conj(_spectra([mode], sigma, u, s, c)[0])
                 * taper_window(u, cfg))[:, None] \
             * np.exp(-1j * n * phik)[None, :] / (2 * np.pi) \
             * np.exp(-1j * (kx * x0 + ky * y0 + kz * z0)) \
@@ -397,40 +439,46 @@ def _assemble(catalog, z_values, t_tables, weights):
 
 
 def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
-              cfg=DEFAULT_QUADRATURE, threads=1, n_axial=5, n_radial=4):
+              cfg=RATE_QUADRATURE, threads=1, n_axial=5, n_radial=4):
     """Calibrated total rate versus axial trap center.
 
-    Independent (mode, sigma) tasks may run on a thread pool; results are
-    reassembled in catalog order, so the output is identical for any thread
-    count.
+    The catalog is split into (family, m, sigma) groups, one rate-engine
+    call each.  Threads share out whole groups when there are at least as
+    many groups as threads, and a group's fixed node blocks otherwise.
+    Either way every group does the same arithmetic in the same order, so
+    the output is bit-identical for any thread count.
     """
     z_values = np.asarray(z_values, dtype=float)
     weights = {s: dipole.sigma_weight(s) for s in SIGMAS}
-    tasks = [(im, s) for im in range(len(catalog.modes))
-             for s in SIGMAS if weights[s] > 0.0]
+    families = {}
+    for im, mode in enumerate(catalog.modes):
+        families.setdefault((mode.family, mode.m), []).append(im)
+    groups = [(members, s) for members in families.values()
+              for s in SIGMAS if weights[s] > 0.0]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        outer, inner = (pool.map, map) if len(groups) >= threads \
+            else (map, pool.map)
 
-    def run(task):
-        im, s = task
-        return _scan_T(catalog.modes[im], s, eta, z_values, cfg,
-                       n_axial, n_radial)
+        def run(group):
+            members, s = group
+            return _catalog_T([catalog.modes[im] for im in members], s, eta,
+                              z_values, cfg, n_axial, n_radial, inner)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tables = dict(zip(tasks, pool.map(run, tasks)))
-    else:
-        tables = {t: run(t) for t in tasks}
+        tables = {(im, s): row
+                  for (members, s), T in zip(groups, outer(run, groups))
+                  for im, row in zip(members, T)}
     return _assemble(catalog, z_values, tables, weights)
 
 
 def total_rate(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
-               cfg=DEFAULT_QUADRATURE, n_axial=5, n_radial=4):
+               cfg=RATE_QUADRATURE, n_axial=5, n_radial=4):
     """RateResult at a single axial trap center."""
     return rate_scan(catalog, dipole, eta, [float(z_center)], cfg,
                      threads=1, n_axial=n_axial, n_radial=n_radial)[0]
 
 
 def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,
-              window=(120.0, 160.0, 5.0), cfg=DEFAULT_QUADRATURE, threads=1):
+              window=(120.0, 160.0, 5.0), cfg=RATE_QUADRATURE, threads=1):
     """Fix the catalog normalization to a far-field unity plateau.
 
     Averages the raw catalog total over z in the window (start, stop, step)
@@ -448,7 +496,7 @@ def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,
 
 
 def mode_table(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
-               cfg=DEFAULT_QUADRATURE):
+               cfg=RATE_QUADRATURE):
     """Per-mode calibrated contributions at one trap center, sorted by kappa.
 
     Returns a list of dicts with the calibrated contribution and its

@@ -47,6 +47,16 @@ def cross_with_khat(triple, sin_t, cos_t):
     return yp, ym, y0
 
 
+def _curls(family, pot, sin_t, cos_t):
+    """Field profile triple of a potential triple: one curl for the E
+    family, two for the B family."""
+    out = cross_with_khat(pot, sin_t, cos_t)
+    if family == B_MODE:
+        out = cross_with_khat(out, sin_t, cos_t)
+    # f = i (omega/c) k x ...; omega/c = 1 in c/omega units
+    return tuple(1j * y for y in out)
+
+
 def _spectrum_triple(mode: ModeParams, sin_t, cos_t, phase):
     """Circular profile triple (a_+, a_-, a_0) of the field spectrum.
 
@@ -56,11 +66,21 @@ def _spectrum_triple(mode: ModeParams, sin_t, cos_t, phase):
     / (2 pi).
     """
     pot = tuple(mode.coeff(s) * phase / sin_t for s in SIGMAS)
-    out = cross_with_khat(pot, sin_t, cos_t)
-    if mode.family == B_MODE:
-        out = cross_with_khat(out, sin_t, cos_t)
-    # f = i (omega/c) k x ...; omega/c = 1 in c/omega units
-    return tuple(1j * y for y in out)
+    return _curls(mode.family, pot, sin_t, cos_t)
+
+
+def unit_spectra(family, sin_t, cos_t):
+    """kappa = 0 profiles of the unit potentials on 1-D nodes, shape
+    (3, 3, len(sin_t)).
+
+    Entry [i, j] is a_{SIGMAS[i]} of the mode whose only nonzero potential
+    coefficient is c_{SIGMAS[j]} = 1.  The spectrum is linear in the
+    coefficients and the kappa phase multiplies it, so any mode of the
+    family has a_i = e^{-2 i kappa u} sum_j c_j [i, j]: one evaluation
+    serves every mode of a family on the same nodes.
+    """
+    unit = np.eye(3)[:, :, None] / sin_t  # [s, j]: c_j delta_sj / sin
+    return np.array(_curls(family, tuple(unit), sin_t, cos_t))
 
 
 def u_spectrum(mode: ModeParams, u):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from paramodes import fieldeval
+from paramodes import fieldeval, load_preset
 from paramodes.core import ModeParams, SIGMAS
 from paramodes.numerics import DEFAULT_QUADRATURE
 from paramodes.fieldeval import (
@@ -101,6 +101,19 @@ def test_axis_scan_consistent_with_pointwise():
                        for r in rho] for z in zs])
     assert not mask.any()
     assert np.max(np.abs(grid - point / point.max())) <= 1e-12
+
+
+def test_fig1e_axis_scan_converged():
+    # the default 92-panel grid straddled the taper knee before panel edges
+    # were put on it, and missed this reference by 1.25e-11 of max
+    raw = load_preset("fig1e")
+    mode, mp = ModeParams(omega=1.0, **raw["mode"]), raw["map"]
+    zs = np.linspace(mp["z_center"] - mp["z_half_span"],
+                     mp["z_center"] + mp["z_half_span"], mp["n_z"])
+    got = axis_intensity_scan(mode, zs)
+    ref = axis_intensity_scan(mode, zs, DEFAULT_QUADRATURE.replace(
+        panels_per_oscillation=40.0, rel_tol=1e-11))
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(ref)
 
 
 def test_stationary_phase_angle_cases():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE,
-    panel_nodes, taper_window, integrate_adaptive,
+    panel_nodes, window_nodes, taper_window, integrate_adaptive,
     sin_cos_theta, theta_from_u, u_from_theta,
     bessel_j, bessel_i, bessel_j_series, bessel_i_series,
 )
@@ -64,6 +65,23 @@ def test_quadrature_failure_raises_with_residual():
     assert err.value.residual > 0.0
 
 
+def test_window_nodes_put_edges_on_taper_knees():
+    cfg = DEFAULT_QUADRATURE
+    knee = (1.0 - cfg.taper_fraction) * cfg.window
+    for n_panels in (24, 92, 97, 100, 301):
+        u, wk, wg = window_nodes(n_panels, cfg)
+        assert len(u) == len(wk) == len(wg) == 15 * n_panels
+        assert float(wk.sum()) == pytest.approx(2 * cfg.window, rel=1e-14)
+        panels = u.reshape(n_panels, 15)
+        for edge in (-knee, knee):
+            assert np.all((panels.max(axis=1) < edge)
+                          | (panels.min(axis=1) > edge))
+    # a multiple of ten panels is the uniform grid
+    for got, want in zip(window_nodes(100, cfg),
+                         panel_nodes(100, -cfg.window, cfg.window)):
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
 def test_taper_window_shape():
     cfg = DEFAULT_QUADRATURE
     u = np.array([0.0, 5.0, 9.6, 10.8, 12.0, 13.0])
@@ -87,6 +105,10 @@ def test_bessel_j_against_series():
     x = np.linspace(0.0, 2.0, 9)
     for n in range(-3, 4):
         assert np.allclose(bessel_j(n, x), bessel_j_series(n, x), rtol=1e-12, atol=1e-14)
+    # orders 0 and +-1 go through j0/j1 (J_{-1} = -J_1); they match jv
+    x = np.linspace(0.0, 80.0, 4001)
+    for n in (0, 1, -1):
+        assert np.max(np.abs(bessel_j(n, x) - jv(n, x))) <= 2e-15
 
 
 def test_bessel_i_against_series():

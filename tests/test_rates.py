@@ -18,6 +18,13 @@ TINY_RULE = {
 }
 
 
+# two families, windings 0 and +-1 under a transverse dipole (sigma = +-1)
+MIXED_RULE = {
+    "families": ["E |m|=1", "B m=0"],
+    "kappa": {"values": [-5.62, 0.02, 2.58]},
+}
+
+
 def _tiny_catalog():
     return build_catalog(TINY_RULE, omega=1.0)
 
@@ -190,15 +197,39 @@ def test_scale_equivariance(ybii_eta, dipole_axial):
     assert r1.total == pytest.approx(r2.total, rel=1e-10)
 
 
-def test_rate_scan_deterministic_across_threads(ybii_eta, dipole_axial):
-    cat = _tiny_catalog()
-    zs = np.array([-6.0, -2.0, 0.0, 2.0, 6.0])
-    seq = rate_scan(cat, dipole_axial, ybii_eta, zs, threads=1)
-    par = rate_scan(cat, dipole_axial, ybii_eta, zs, threads=3)
-    for a, b in zip(seq, par):
-        assert a.total == b.total           # bitwise identical
-        assert a.rows == b.rows
-        assert a.family_totals == b.family_totals
+def test_rate_scan_deterministic_across_threads(ybii_eta, dipole_axial,
+                                               dipole_transverse):
+    # one (family, m, sigma) group: threads share out its node blocks; six
+    # groups: threads take whole groups (3) or, with more threads than
+    # groups (8), the blocks of each group, two blocks at |z| = 40
+    cases = [(_tiny_catalog(), dipole_axial, [-6.0, -2.0, 0.0, 2.0, 6.0],
+              (3,)),
+             (build_catalog(MIXED_RULE, omega=1.0), dipole_transverse,
+              [-40.0, -11.2, 0.0, 3.7, 40.0], (3, 8))]
+    for cat, dipole, zs, thread_counts in cases:
+        seq = rate_scan(cat, dipole, ybii_eta, zs, threads=1)
+        for threads in thread_counts:
+            par = rate_scan(cat, dipole, ybii_eta, zs, threads=threads)
+            for a, b in zip(seq, par):
+                assert a.total == b.total           # bitwise identical
+                assert a.rows == b.rows
+                assert a.family_totals == b.family_totals
+
+
+def test_total_rate_single_z_accuracy(ybii_eta, dipole_transverse):
+    # the default grid against the same engine converged far past it
+    cat = build_catalog(MIXED_RULE, omega=1.0)
+    converged = DEFAULT_QUADRATURE.replace(panels_per_oscillation=40.0,
+                                           rel_tol=1e-12)
+    for z in (-11.2, 0.0, 3.7):
+        got = total_rate(cat, dipole_transverse, ybii_eta, z)
+        ref = total_rate(cat, dipole_transverse, ybii_eta, z, converged)
+        bound = 1e-11 * ref.total
+        assert abs(got.total - ref.total) <= bound
+        for (_, a), (_, b) in zip(got.family_totals, ref.family_totals):
+            assert abs(a - b) <= bound
+        for a, b in zip(got.rows, ref.rows):
+            assert abs(a.weighted - b.weighted) * ref.calibration <= bound
 
 
 def test_mode_table_sorted_and_normalized(ybii_eta, dipole_axial):

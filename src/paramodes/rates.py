@@ -21,8 +21,9 @@ where the mirror no longer modifies the emission.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln
@@ -259,9 +260,11 @@ def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, n_axial,
         return np.concatenate((conj_a * wk, conj_a * wg)) @ M
 
     def estimate(u, wk, wg):
-        parts = pool_map(block, [(u[i:i + _U_BLOCK], wk[i:i + _U_BLOCK],
-                                  wg[i:i + _U_BLOCK])
-                                 for i in range(0, len(u), _U_BLOCK)])
+        # a pooled map returns every block's part at once; a part has
+        # 2 len(modes) / _U_BLOCK of the elements of its block's M
+        parts = iter(pool_map(block, [(u[i:i + _U_BLOCK], wk[i:i + _U_BLOCK],
+                                       wg[i:i + _U_BLOCK])
+                                      for i in range(0, len(u), _U_BLOCK)]))
         G = next(parts)
         for part in parts:
             G += part
@@ -438,6 +441,15 @@ def _assemble(catalog, z_values, t_tables, weights):
     return results
 
 
+def _gather(pool, fn, items):
+    """[fn(item) for item in items] on the pool's threads.  The caller
+    sleeps once, until every call has returned, rather than waking for
+    each result in turn."""
+    futures = [pool.submit(fn, item) for item in items]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
 def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
               cfg=RATE_QUADRATURE, threads=1, n_axial=5, n_radial=4):
     """Calibrated total rate versus axial trap center.
@@ -446,7 +458,8 @@ def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
     call each.  Threads share out whole groups when there are at least as
     many groups as threads, and a group's fixed node blocks otherwise.
     Either way every group does the same arithmetic in the same order, so
-    the output is bit-identical for any thread count.
+    the output is bit-identical for any thread count.  threads=1 runs in
+    the calling thread, with no pool.
     """
     z_values = np.asarray(z_values, dtype=float)
     weights = {s: dipole.sigma_weight(s) for s in SIGMAS}
@@ -455,18 +468,22 @@ def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
         families.setdefault((mode.family, mode.m), []).append(im)
     groups = [(members, s) for members in families.values()
               for s in SIGMAS if weights[s] > 0.0]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outer, inner = (pool.map, map) if len(groups) >= threads \
-            else (map, pool.map)
 
-        def run(group):
-            members, s = group
-            return _catalog_T([catalog.modes[im] for im in members], s, eta,
-                              z_values, cfg, n_axial, n_radial, inner)
+    def run(group, inner=map):
+        members, s = group
+        return _catalog_T([catalog.modes[im] for im in members], s, eta,
+                          z_values, cfg, n_axial, n_radial, inner)
 
-        tables = {(im, s): row
-                  for (members, s), T in zip(groups, outer(run, groups))
-                  for im, row in zip(members, T)}
+    if threads == 1:
+        T = [run(group) for group in groups]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            if len(groups) >= threads:
+                T = _gather(pool, run, groups)
+            else:
+                T = [run(group, partial(_gather, pool)) for group in groups]
+    tables = {(im, s): row for (members, s), rows in zip(groups, T)
+              for im, row in zip(members, rows)}
     return _assemble(catalog, z_values, tables, weights)
 
 

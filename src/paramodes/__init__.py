@@ -16,23 +16,16 @@ from .core import (
     from_dimensionless,
     circular_components,
 )
-from .spectrum import hertz_component, mode_spectrum, sigma_profile
+from .spectrum import mode_spectrum, sigma_profile
 from .fieldeval import (
     field_at_point,
-    field_2d_oracle,
     localization_plane,
     stationary_phase_angle,
     stationary_phase_field,
     intensity_map,
     isointensity_grid,
 )
-from .trap import (
-    LambDicke,
-    lamb_dicke,
-    form_factor,
-    azimuthal_pair_integral,
-    bessel_weight_profile,
-)
+from .trap import LambDicke, lamb_dicke
 from .rates import (
     ModeCatalog,
     RateResult,

@@ -19,6 +19,7 @@ from .core import (
 from .trap import LambDicke
 from .rates import (
     RATE_QUADRATURE, build_catalog, calibrate, rate_scan, total_rate, mode_table,
+    series_rows,
 )
 from .fieldeval import intensity_map, isointensity_grid
 from .numerics import DEFAULT_QUADRATURE, QuadratureError
@@ -235,6 +236,9 @@ def _calibrated_catalog(cfg, raw, args, quad):
     catalog = build_catalog(cfg.catalog_rule, cfg.ion.omega)
     log.info("catalog: %d modes over %s", len(catalog.modes),
              ", ".join(catalog.family_labels))
+    # a trap too soft for the rate series fails here, before calibrating
+    log.info("rate series terms per winding |m - sigma|: %s",
+             series_rows(catalog, cfg.dipole, cfg.eta, quad))
     catalog = calibrate(catalog, cfg.dipole, cfg.eta, cfg.window, quad,
                         threads=args.threads)
     log.info("calibration constant C = %.9g (window %s)",
@@ -341,6 +345,10 @@ def cmd_validate(args):
         catalog = build_catalog(cfg.catalog_rule, cfg.ion.omega)
         log.info("catalog: %d modes over %s", len(catalog.modes),
                  ", ".join(catalog.family_labels))
+        if cfg.dipole is not None and cfg.eta is not None:
+            log.info("rate series terms per winding |m - sigma|: %s",
+                     series_rows(catalog, cfg.dipole, cfg.eta,
+                                 _quadrature(args, RATE_QUADRATURE)))
     print("configuration ok")
     return 0
 

@@ -8,9 +8,10 @@ of e^{i n phi_k} against e^{i k.r} is a Bessel function, leaving
         Int d(theta) sin(theta) a_sigma(theta) J_n(rho sin theta) e^{i z cos theta}
 
 with n = m - sigma and all lengths in c/omega units.  A brute-force 2D
-quadrature of the same superposition backs the reduced path as an oracle,
-and a stationary-phase estimate gives the far-field asymptotics and the
-localization of a mode near the plane Z = -2 kappa.
+quadrature of the same superposition (`paramodes.oracles.field_2d_oracle`)
+backs the reduced path in the tests, and a stationary-phase estimate gives
+the far-field asymptotics and the localization of a mode near the plane
+Z = -2 kappa.
 """
 
 import warnings
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModeParams, SIGMAS, cartesian_from_circular
-from .spectrum import sigma_profile, mode_spectrum, u_spectrum
+from .spectrum import sigma_profile, u_spectrum
 from .numerics import (
     DEFAULT_QUADRATURE, QuadratureError, oscillation_count, refine,
-    taper_window, sin_cos_theta, theta_from_u, bessel_j, integrate_adaptive,
+    taper_window, sin_cos_theta, bessel_j,
 )
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i^n, exact
@@ -102,37 +103,6 @@ def field_at_point(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE):
     return FieldSample((rho, phi, z), {
         sigma: _ipow(n) * np.exp(1j * n * phi) * amp
         for sigma, n, amp in zip(SIGMAS, (mode.m - s for s in SIGMAS), ints)})
-
-
-def field_2d_oracle(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE,
-                    n_phi=None):
-    """Brute-force tensor quadrature over (theta_k, phi_k); no reduction.
-
-    Slow verification path for field_at_point.  The phi_k integral uses a
-    uniform periodic grid (spectrally accurate for the trigonometric
-    integrands); theta_k reuses the same composite Kronrod nodes.
-    """
-    rho, phi, z = (float(x) for x in position)
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if n_phi is None:
-        n_phi = int(64 + 8 * np.ceil(rho + abs(mode.m) + 2))
-    phik = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    nosc = oscillation_count(mode.kappa, z, rho, cfg)
-
-    def values(u):
-        s, c = sin_cos_theta(u)
-        theta = theta_from_u(u)
-        f = mode_spectrum(mode, theta[None, :], phik[:, None])  # (3, nphi, nu)
-        kdotr = rho * s[None, :] * np.cos(phik[:, None] - phi) + z * c[None, :]
-        w = s[None, :] ** 2 * taper_window(u, cfg)[None, :]
-        integrand = f * (np.exp(1j * kdotr) * w)[None, :, :]
-        return integrand.sum(axis=1) * (2 * np.pi / n_phi)
-
-    est, _ = integrate_adaptive(values, nosc, cfg)
-    ex, ey, ez = est
-    comps = {1: (ex - 1j * ey) / 2, -1: (ex + 1j * ey) / 2, 0: ez}
-    return FieldSample((rho, phi, z), comps)
 
 
 def localization_plane(kappa):

@@ -161,16 +161,6 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE):
                           f"{cfg.max_refinements} refinements", float(resid.max()))
 
 
-def integrate_adaptive(values_at, n_oscillations, cfg=DEFAULT_QUADRATURE):
-    """Integrate values_at(u), whose last axis runs over the nodes u, with
-    one refine() shared by every integrand."""
-    def estimate(u, wk, wg):
-        vals = values_at(u)
-        return vals @ wk, vals @ wg
-
-    return refine(estimate, n_oscillations, cfg)
-
-
 def sin_cos_theta(u):
     """(sin theta_k, cos theta_k) for u = ln tan(theta_k / 2)."""
     return 1.0 / np.cosh(u), -np.tanh(u)
@@ -180,12 +170,8 @@ def theta_from_u(u):
     return 2.0 * np.arctan(np.exp(u))
 
 
-def u_from_theta(theta):
-    return np.log(np.tan(theta / 2.0))
-
-
-# special-function wrappers -- scipy provides the evaluations, the series
-# forms below back them as independent oracles in the validation suite
+# special-function wrapper -- scipy provides the evaluations; the series
+# forms in paramodes.oracles back them in the validation suite
 
 def bessel_j(n, x):
     """Bessel J_n of scalar order n: scipy.special.j0/j1 for n = 0 and +-1
@@ -196,40 +182,3 @@ def bessel_j(n, x):
     if n == 1 or n == -1:
         return n * _sp.j1(x)
     return _sp.jv(n, x)
-
-
-def bessel_i_scaled(n, x):
-    """Exponentially scaled modified Bessel e^{-x} I_n(x)."""
-    return _sp.ive(n, x)
-
-
-def bessel_i(n, x):
-    return _sp.iv(n, x)
-
-
-def bessel_j_series(n, x, terms=60):
-    """Power-series J_n for validation; |n| small, moderate arguments."""
-    n = int(n)
-    sign = (-1.0) ** n if n < 0 else 1.0  # J_{-n} = (-1)^n J_n
-    n = abs(n)
-    x = np.asarray(x, dtype=float)
-    half = x / 2.0
-    term = half ** n / _sp.factorial(n)
-    total = np.array(term, dtype=float, copy=True)
-    for k in range(1, terms):
-        term = term * (-(half ** 2)) / (k * (k + n))
-        total += term
-    return sign * total
-
-
-def bessel_i_series(n, x, terms=60):
-    """Power-series I_n for validation."""
-    n = abs(int(n))
-    x = np.asarray(x, dtype=float)
-    half = x / 2.0
-    term = half ** n / _sp.factorial(n)
-    total = np.array(term, dtype=float, copy=True)
-    for k in range(1, terms):
-        term = term * (half ** 2) / (k * (k + n))
-        total += term
-    return total

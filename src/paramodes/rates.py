@@ -11,16 +11,17 @@ the azimuthal pair angle (winding index n = m - sigma), and the trap-center
 phase e^{-i Z (cos - cos')}.  The kernel is separable: expanding the axial
 Gaussian in powers of cos(theta) cos(theta') and the radial Bessel kernel
 I_|n| in its ascending series turns the double integral into a manifestly
-nonnegative sum of rank-one terms, each a single oscillatory integral.  A
-dense two-dimensional quadrature of the same kernel is kept as a slow
-verification path.
+nonnegative sum of rank-one terms, each a single oscillatory integral.
+The series is cut where its terms fall below the quadrature tolerance.  A
+dense two-dimensional quadrature of the same kernel, and an expansion for
+anisotropic or off-axis traps, live in `paramodes.oracles` as slow
+verification paths.
 
 Rates are reported relative to a calibration constant C chosen so that the
 catalog total averages to one over a far-field window on the shadow side,
 where the mirror no longer modifies the emission.
 """
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -33,7 +34,7 @@ from .trap import LambDicke
 from .spectrum import unit_spectra
 from .numerics import (
     DEFAULT_QUADRATURE, oscillation_count, refine, taper_window,
-    sin_cos_theta, bessel_i,
+    sin_cos_theta,
 )
 
 # The rate entry points start at 2 panels per oscillation, and refine()
@@ -181,25 +182,54 @@ def build_catalog(rule, omega):
     return ModeCatalog(modes=tuple(modes), meta=meta)
 
 
-def _series_terms(n_abs, eta_x, eta_z, n_axial, n_radial):
-    """Rank-one term list (p, radial exponent, gamma) of the kernel expansion."""
-    terms = []
-    for p in range(n_axial):
-        if eta_z == 0.0 and p > 0:
-            continue
-        for q in range(n_radial):
-            e_r = n_abs + 2 * q
-            if eta_x == 0.0 and e_r > 0:
-                continue
-            lg = -gammaln(p + 1) - gammaln(q + 1) - gammaln(q + n_abs + 1)
-            if p:
-                lg += p * np.log(eta_z**2)
-            if e_r:
-                lg += e_r * np.log(eta_x**2 / 2.0)
-            gam = float(np.exp(lg))
-            if gam > 0.0:
-                terms.append((p, e_r, gam))
-    return terms
+# The kernel series keeps every (p, q) term whose gamma is at least
+# _SERIES_CUT * rel_tol of the largest gamma.  _MAX_SERIES_ROWS bounds the
+# number of kept terms and each index p, q; a trap whose series needs more
+# is rejected before any quadrature runs.
+_SERIES_CUT = 1e-3
+_MAX_SERIES_ROWS = 100
+
+
+def _series_terms(n_abs, eta_x, eta_z, rel_tol):
+    """Rank-one term list (p, radial exponent, gamma) of the kernel expansion.
+
+    gamma_pq = a_p b_q with a_p = (eta_z^2)^p / p! and
+    b_q = (eta_x^2 / 2)^(n + 2q) / (q! (q + n)!).  Both factors are
+    log-concave in their index, so the kept terms surround the largest
+    gamma: (0, 0) for eta < 1, further out in softer traps, where the terms
+    first grow and then fall.
+    """
+    j = np.arange(_MAX_SERIES_ROWS)
+    e_r = n_abs + 2 * j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = np.where(j > 0, 2 * j * np.log(eta_z), 0.0) - gammaln(j + 1)
+        log_b = np.where(e_r > 0, e_r * (2 * np.log(eta_x) - np.log(2.0)),
+                         0.0) - gammaln(j + 1) - gammaln(j + n_abs + 1)
+        log_g = log_a[:, None] + log_b[None, :]
+    top = log_g.max()
+    if top == -np.inf:  # eta_x = 0 leaves no term of nonzero winding
+        return []
+    keep = log_g >= top + np.log(_SERIES_CUT * rel_tol)
+    if not np.isfinite(top) or keep[-1].any() or keep[:, -1].any() \
+            or keep.sum() > _MAX_SERIES_ROWS:
+        raise ValueError(
+            f"trap too soft for the rate series: eta_x = {eta_x:.4g}, "
+            f"eta_z = {eta_z:.4g} need more than {_MAX_SERIES_ROWS} series "
+            f"terms at rel_tol {rel_tol:g}")
+    p, q = np.nonzero(keep)
+    return list(zip(p.tolist(), (n_abs + 2 * q).tolist(),
+                    np.exp(log_g[p, q]).tolist()))
+
+
+def series_rows(catalog, dipole: DipoleSpec, eta: LambDicke,
+                cfg=RATE_QUADRATURE):
+    """{winding |m - sigma|: kernel-series terms} the rate engine keeps for
+    this catalog, dipole and trap at cfg.rel_tol; raises ValueError for a
+    trap too soft for the series."""
+    windings = {abs(mode.m - s) for mode in catalog.modes for s in SIGMAS
+                if dipole.sigma_weight(s) > 0.0}
+    return {n: len(_series_terms(n, eta.eta_x, eta.eta_z, cfg.rel_tol))
+            for n in sorted(windings)}
 
 
 # u-nodes per block of the rate engine's node sum (70 K15 panels).  A
@@ -222,8 +252,7 @@ def _spectra(modes, sigma, u, s, c):
         * np.exp(-2j * np.multiply.outer(kappa, u))
 
 
-def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, n_axial,
-               n_radial, pool_map=map):
+def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, pool_map=map):
     """T_sigma[k, z] of modes sharing one family and winding m, over an
     array of axial trap centers: the rate engine.
 
@@ -232,15 +261,17 @@ def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, n_axial,
     G[k, r, z] = sum_u A[k, u] M[u, r, z] with
     A = w_u conj(a_sigma(u)) (Kronrod and Gauss weights stacked) and
     M = base(u) row_r(u) e^{-i z cos theta}, then
-    T = sum_r gamma_r |G|^2.  The node sum runs in blocks of _U_BLOCK nodes
+    T = sum_r gamma_r |G|^2 over the series rows _series_terms keeps at
+    cfg.rel_tol.  The node sum runs in blocks of _U_BLOCK nodes
     through pool_map, and refine() tests each mode's row on its own scale.
     """
     if not eta.axisymmetric:
         raise NotImplementedError(
-            "fast path assumes eta_x == eta_y; use mode_contribution_general")
+            "the rate engine assumes eta_x == eta_y; anisotropic traps have "
+            "only the slow paramodes.oracles.mode_contribution_general")
     z_values = np.asarray(z_values, dtype=float)
     terms = _series_terms(abs(modes[0].m - sigma), eta.eta_x, eta.eta_z,
-                          n_axial, n_radial)
+                          cfg.rel_tol)
     if not terms:
         return np.zeros((len(modes), len(z_values)))
     p, e_r, gam = (np.array(t) for t in zip(*terms))
@@ -277,95 +308,10 @@ def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, n_axial,
 
 
 def mode_contribution(mode, sigma, eta: LambDicke, z_center,
-                      cfg=RATE_QUADRATURE, n_axial=5, n_radial=4):
+                      cfg=RATE_QUADRATURE):
     """Positive emission weight T_sigma of one mode at axial trap center;
     a one-row view of the rate engine."""
-    return float(_catalog_T([mode], sigma, eta, [float(z_center)], cfg,
-                            n_axial, n_radial)[0, 0])
-
-
-def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
-                             cfg=DEFAULT_QUADRATURE):
-    """Dense double-quadrature of the pair kernel; slow verification path.
-
-    Tiny negative results from quadrature noise are clamped to zero; a
-    negative part beyond 1e-10 of the diagonal scale raises.
-    """
-    if not eta.axisymmetric:
-        raise NotImplementedError("direct path assumes eta_x == eta_y")
-    z_center = float(z_center)
-    n = mode.m - sigma
-
-    def estimate(u, wk, wg):
-        s, c = sin_cos_theta(u)
-        # conjugate side of the quadratic form supplies e^{-iZc}
-        v = s**2 * _spectra([mode], sigma, u, s, c)[0] \
-            * taper_window(u, cfg) * np.exp(1j * z_center * c)
-        dz = c[:, None] - c[None, :]
-        kernel = np.exp(-eta.eta_z**2 * dz**2 / 2.0) \
-            * np.exp(-eta.eta_x**2 * (s[:, None]**2 + s[None, :]**2) / 2.0) \
-            * bessel_i(abs(n), eta.eta_x**2 * np.outer(s, s))
-        t_k, t_g = (float(np.real(np.conj(v * w) @ kernel @ (v * w)))
-                    for w in (wk, wg))
-        ref = float((np.abs(v * wk) ** 2 * np.diag(kernel)).sum())
-        if t_k < -1e-10 * max(ref, 1e-300):
-            raise ArithmeticError(
-                f"pair kernel lost positivity: {t_k} vs scale {ref}")
-        return t_k, t_g
-
-    t, _ = refine(estimate, oscillation_count(mode.kappa, z_center, 0.0, cfg),
-                  cfg)
-    if t < 0.0:
-        warnings.warn("clamping small negative pair-kernel quadrature result")
-        t = 0.0
-    return t
-
-
-def mode_contribution_general(mode, sigma, eta_xyz, center,
-                              cfg=DEFAULT_QUADRATURE, order=6, n_phi=None):
-    """Rank expansion for anisotropic confinement and arbitrary trap center.
-
-    Expands each Cartesian-axis Gaussian of the form factor separately:
-    T = sum_P gamma_P |B_P|^2 over multi-indices P = (px, py, pz) with
-    |P| <= order, each B_P a two-dimensional angular integral.  Slow but
-    fully general; the axisymmetric on-axis engine is the fast path.
-    """
-    ex, ey, ez = (float(e) for e in eta_xyz)
-    x0, y0, z0 = (float(x) for x in center)
-    n = mode.m - sigma
-    if n_phi is None:
-        n_phi = int(64 + 8 * np.ceil(abs(n) + order + np.hypot(x0, y0)))
-    phik = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    combos = [(px, py, pz)
-              for px in range(order + 1)
-              for py in range(order + 1 - px)
-              for pz in range(order + 1 - px - py)
-              if not ((ex == 0.0 and px) or (ey == 0.0 and py)
-                      or (ez == 0.0 and pz))]
-    gam = np.array([
-        np.exp((px * np.log(ex**2) if px else 0.0)
-               + (py * np.log(ey**2) if py else 0.0)
-               + (pz * np.log(ez**2) if pz else 0.0)
-               - gammaln(px + 1) - gammaln(py + 1) - gammaln(pz + 1))
-        for px, py, pz in combos])
-
-    def estimate(u, wk, wg):
-        s, c = sin_cos_theta(u)
-        kx = s[:, None] * np.cos(phik)[None, :]
-        ky = s[:, None] * np.sin(phik)[None, :]
-        kz = c[:, None] * np.ones((1, n_phi))
-        base = (s**2 * np.conj(_spectra([mode], sigma, u, s, c)[0])
-                * taper_window(u, cfg))[:, None] \
-            * np.exp(-1j * n * phik)[None, :] / (2 * np.pi) \
-            * np.exp(-1j * (kx * x0 + ky * y0 + kz * z0)) \
-            * np.exp(-(ex**2 * kx**2 + ey**2 * ky**2 + ez**2 * kz**2) / 2.0) \
-            * (2 * np.pi / n_phi)
-        b = np.array([(base * kx**px * ky**py * kz**pz).sum(axis=1)
-                      for px, py, pz in combos])
-        return (float(gam @ (np.abs(b @ w) ** 2)) for w in (wk, wg))
-
-    return refine(estimate, oscillation_count(mode.kappa, z0, np.hypot(x0, y0),
-                                              cfg), cfg)[0]
+    return float(_catalog_T([mode], sigma, eta, [float(z_center)], cfg)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -451,7 +397,7 @@ def _gather(pool, fn, items):
 
 
 def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
-              cfg=RATE_QUADRATURE, threads=1, n_axial=5, n_radial=4):
+              cfg=RATE_QUADRATURE, threads=1):
     """Calibrated total rate versus axial trap center.
 
     The catalog is split into (family, m, sigma) groups, one rate-engine
@@ -472,7 +418,7 @@ def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
     def run(group, inner=map):
         members, s = group
         return _catalog_T([catalog.modes[im] for im in members], s, eta,
-                          z_values, cfg, n_axial, n_radial, inner)
+                          z_values, cfg, inner)
 
     if threads == 1:
         T = [run(group) for group in groups]
@@ -488,10 +434,10 @@ def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
 
 
 def total_rate(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
-               cfg=RATE_QUADRATURE, n_axial=5, n_radial=4):
+               cfg=RATE_QUADRATURE):
     """RateResult at a single axial trap center."""
     return rate_scan(catalog, dipole, eta, [float(z_center)], cfg,
-                     threads=1, n_axial=n_axial, n_radial=n_radial)[0]
+                     threads=1)[0]
 
 
 def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,

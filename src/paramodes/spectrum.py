@@ -25,13 +25,6 @@ def _check_theta(theta_k):
     return theta_k
 
 
-def hertz_component(mode: ModeParams, sigma, theta_k):
-    """Hertz potential profile c_sigma (tan theta/2)^{-2 i kappa} / (2 pi sin theta)."""
-    theta_k = _check_theta(theta_k)
-    phase = np.exp(-2j * mode.kappa * np.log(np.tan(theta_k / 2.0)))
-    return mode.coeff(sigma) * phase / (2 * np.pi * np.sin(theta_k))
-
-
 def cross_with_khat(triple, sin_t, cos_t):
     """Profile triple of k_hat x v for a component triple v of winding n.
 
@@ -120,19 +113,3 @@ def mode_spectrum(mode: ModeParams, theta_k, phi_k):
         n = mode.m - sigma
         comps.append(a * np.exp(1j * n * phi_k) / (2 * np.pi))
     return cartesian_from_circular(*comps)
-
-
-def khat(theta_k, phi_k):
-    """Cartesian unit wavevector."""
-    theta_k = np.asarray(theta_k, dtype=float)
-    phi_k = np.asarray(phi_k, dtype=float)
-    return np.array([np.sin(theta_k) * np.cos(phi_k),
-                     np.sin(theta_k) * np.sin(phi_k),
-                     np.cos(theta_k) * np.ones_like(phi_k)])
-
-
-def transversality_residual(mode: ModeParams, theta_k, phi_k):
-    """|k_hat . f| at the given Fourier-sphere points; zero for valid spectra."""
-    f = mode_spectrum(mode, theta_k, phi_k)
-    k = khat(theta_k, phi_k)
-    return np.abs((k * f).sum(axis=0))

@@ -1,4 +1,4 @@
-"""Motional ground-state form factors for a harmonically trapped ion.
+"""Lamb-Dicke parameters of a harmonically trapped ion.
 
 The center-of-mass average of the field autocorrelation reduces, for a
 ground-state ion, to the Gaussian form factor
@@ -8,14 +8,15 @@ ground-state ion, to the Gaussian form factor
 with X0 the trap center in c/omega units and eta_i the Lamb-Dicke
 parameters.  For an axisymmetric trap the azimuthal pair integral of
 g against winding phases collapses to a modified Bessel function, which is
-what makes the on-axis rate path one-dimensional per angle.
+what makes the on-axis rate path one-dimensional per angle.  The rate
+engine uses the expanded kernel; the form factor itself and its azimuthal
+closed form are reference paths in `paramodes.oracles`.
 """
 
 from dataclasses import dataclass
 import numpy as np
 
 from .core import TrapSpec, HBAR, C_LIGHT
-from .numerics import bessel_i, bessel_i_scaled
 
 
 def lamb_dicke(omega_gamma, mass, lambda_i):
@@ -40,55 +41,3 @@ class LambDicke:
     @property
     def axisymmetric(self):
         return self.eta_x == self.eta_y
-
-    def as_array(self):
-        return np.array([self.eta_x, self.eta_y, self.eta_z])
-
-
-def _check_unit(k):
-    k = np.asarray(k, dtype=float)
-    if abs(np.linalg.norm(k) - 1.0) > 1e-9:
-        raise ValueError("wavevector arguments must be unit vectors")
-    return k
-
-
-def form_factor(khat, khat_prime, eta: LambDicke, center=(0.0, 0.0, 0.0)):
-    """Ground-state form factor g(k, k'); center in c/omega units."""
-    k = _check_unit(khat)
-    kp = _check_unit(khat_prime)
-    d = k - kp
-    phase = np.exp(1j * np.dot(d, np.asarray(center, dtype=float)))
-    gauss = np.exp(-0.5 * np.sum(eta.as_array()**2 * d**2))
-    return phase * gauss
-
-
-def azimuthal_pair_integral(n, n_prime, eta_x, theta, theta_prime):
-    """Closed form of the double azimuthal integral of the form factor.
-
-    Integrating e^{-i n phi + i n' phi'} against the phi - phi' dependence
-    of an axisymmetric g gives (2 pi)^2 delta_{n n'} I_{|n|}(eta_x^2
-    sin theta sin theta').  The Gaussian prefactors that depend on theta
-    alone are not included here; they stay with the theta integrand.
-    """
-    if n != n_prime:
-        return 0.0
-    x = eta_x**2 * np.sin(theta) * np.sin(theta_prime)
-    return (2 * np.pi) ** 2 * bessel_i(abs(n), np.abs(x))
-
-
-def bessel_weight_profile(eta_x, n_max):
-    """Max of I_{|n|}(x)/I_0(x) over the argument range x in [0, eta_x^2].
-
-    The ratio is increasing in x, so the max sits at x = eta_x^2; the table
-    justifies the winding cutoff used by the rate sums.
-    """
-    if eta_x < 0 or n_max < 0:
-        raise ValueError("eta_x and n_max must be nonnegative")
-    x = eta_x**2
-    out = {}
-    for n in range(n_max + 1):
-        if x == 0.0:
-            out[n] = 1.0 if n == 0 else 0.0
-        else:
-            out[n] = float(bessel_i_scaled(n, x) / bessel_i_scaled(0, x))
-    return out

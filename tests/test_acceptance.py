@@ -11,14 +11,16 @@ from scipy.special import ai_zeros
 from paramodes.core import (
     ModeParams, IonSpec, TrapSpec, DipoleSpec, ATOMIC_MASS, SIGMAS,
 )
-from paramodes.trap import LambDicke, azimuthal_pair_integral
-from paramodes.spectrum import transversality_residual
+from paramodes.trap import LambDicke
 from paramodes.fieldeval import (
-    field_at_point, field_2d_oracle, axis_intensity_scan,
-    stationary_phase_field,
+    field_at_point, axis_intensity_scan, stationary_phase_field,
+)
+from paramodes.oracles import (
+    azimuthal_pair_integral, field_2d_oracle, transversality_residual,
 )
 from paramodes.rates import (
-    build_catalog, calibrate, rate_scan, total_rate, mode_contribution,
+    RATE_QUADRATURE, build_catalog, calibrate, rate_scan, total_rate,
+    mode_contribution,
 )
 from paramodes.io import write_csv
 from paramodes.presets import load_preset
@@ -287,13 +289,16 @@ def test_criterion_10_property_suite(ybii_eta, dipole_axial, dipole_transverse,
     assert fact_err < 1e-6
     notes.append(f"point-trap factorization {fact_err:.1e}")
 
-    # series-order convergence of the rate engine
+    # series-order convergence of the rate engine: the default rel_tol
+    # against rel_tol = 1e-12, which keeps more series terms, at a near and
+    # a calibration-window trap center
     mode = ModeParams(omega=1.0, m=1, kappa=-0.8, family="B")
-    coarse = mode_contribution(mode, 1, ybii_eta, 4.0, n_axial=3, n_radial=3)
-    fine = mode_contribution(mode, 1, ybii_eta, 4.0, n_axial=5, n_radial=5)
-    conv = abs(coarse - fine) / fine
-    assert conv < 0.005
-    notes.append(f"order 3->5 change {conv:.2e}")
+    tight = RATE_QUADRATURE.replace(rel_tol=1e-12)
+    conv = max(abs(a - b) / b for a, b in (
+        (mode_contribution(mode, 1, ybii_eta, z),
+         mode_contribution(mode, 1, ybii_eta, z, tight)) for z in (4.0, 140.0)))
+    assert conv < 1e-10
+    notes.append(f"series rel_tol 1e-9 -> 1e-12 change {conv:.2e}")
 
     # determinism across thread counts, including the serialized form
     cat = build_catalog({"families": ["E m=0"], "kappa": {"values": [0.02, 0.5]}},

@@ -1,12 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paramodes.cli import main, RunConfig, build_parser, _load_config
+import paramodes
+from paramodes.cli import main, RunConfig, build_parser, _load_config, _merge
 from paramodes.io import config_hash, format_float, write_csv
 from paramodes.presets import load_preset, preset_names
 
@@ -72,12 +75,29 @@ def test_validate_rejects_bad_scan(tmp_path, capsys):
      "trap.center"),
     (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_rho=1_000_000_000)), "n_rho"),
     (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_iso=100_000)), "n_iso"),
+    (_merge(load_preset("ybII"), {"trap": {"axial_khz": 1e-9}}),
+     "trap too soft"),
 ])
 def test_malformed_config_is_named_failure(tmp_path, capsys, payload, named):
     cfg = _write(tmp_path, "bad.json", payload)
     assert main(["validate", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    if named == "trap too soft":  # rate commands fail before calibrating
+        out = str(tmp_path / "scan.csv")
+        assert main(["rate-scan", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+
+def test_oracles_stay_out_of_production_imports():
+    src = os.path.dirname(os.path.dirname(paramodes.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import paramodes, paramodes.cli; "
+            "print('paramodes.oracles' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_config_overlay_merges_into_preset_sections(tmp_path):

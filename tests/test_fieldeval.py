@@ -5,10 +5,11 @@ from paramodes import fieldeval, load_preset
 from paramodes.core import ModeParams, SIGMAS
 from paramodes.numerics import DEFAULT_QUADRATURE
 from paramodes.fieldeval import (
-    field_at_point, field_2d_oracle, localization_plane,
+    field_at_point, localization_plane,
     stationary_phase_angle, stationary_phase_field, stationary_phase_prefactor,
     intensity_map, isointensity_grid, axis_intensity_scan, INFEASIBLE,
 )
+from paramodes.oracles import field_2d_oracle
 
 
 def _axial_mode(kappa):

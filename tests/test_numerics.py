@@ -4,9 +4,12 @@ from scipy.special import jv
 
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE,
-    panel_nodes, window_nodes, taper_window, integrate_adaptive,
-    sin_cos_theta, theta_from_u, u_from_theta,
-    bessel_j, bessel_i, bessel_j_series, bessel_i_series,
+    panel_nodes, window_nodes, taper_window, sin_cos_theta, theta_from_u,
+    bessel_j,
+)
+from paramodes.oracles import (
+    integrate_adaptive, u_from_theta, bessel_i, bessel_j_series,
+    bessel_i_series,
 )
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from paramodes.numerics import DEFAULT_QUADRATURE, QuadratureError
 from paramodes.rates import (
     ModeCatalog, family_label,
     build_ladder, build_catalog, calibrate,
-    mode_contribution, mode_contribution_direct, mode_contribution_general,
-    total_rate, rate_scan, mode_table, gamma0,
+    mode_contribution, total_rate, rate_scan, mode_table, gamma0,
+    RATE_QUADRATURE, _series_terms,
+)
+from paramodes.oracles import (
+    mode_contribution_direct, mode_contribution_general,
 )
 
 TINY_RULE = {
@@ -87,6 +92,13 @@ def test_catalog_requires_increasing_kappa():
         ModeCatalog(modes=(mode,), calibration=0.0)
 
 
+# the ybII ion at radial 230 kHz and axial 10 kHz: eta_z^2 = 0.85 needs
+# about 15 axial series terms where the preset trap needs 6; at
+# eta_z = 1.5 the terms grow up to p = 2 before they fall
+SOFT_ETAS = (LambDicke(0.19276, 0.19276, 0.92443),
+             LambDicke(0.19276, 0.19276, 1.5))
+
+
 def test_engine_paths_agree(ybii_eta):
     cases = [
         ("E", 0, 0.64, 0, -4.0),
@@ -94,13 +106,16 @@ def test_engine_paths_agree(ybii_eta):
         ("B", 1, -1.2, 1, -4.0),
         ("B", 0, 0.3, 1, -4.0),
     ]
-    for fam, m, kappa, sigma, z in cases:
+    for (fam, m, kappa, sigma, z), eta in itertools.product(
+            cases, (ybii_eta,) + SOFT_ETAS):
         mode = ModeParams(omega=1.0, m=m, kappa=kappa, family=fam)
-        fast = mode_contribution(mode, sigma, ybii_eta, z)
-        dense = mode_contribution_direct(mode, sigma, ybii_eta, z)
+        fast = mode_contribution(mode, sigma, eta, z)
+        dense = mode_contribution_direct(mode, sigma, eta, z)
         assert dense == pytest.approx(fast, rel=1e-8)
+        if eta in SOFT_ETAS:
+            continue  # order 6 truncates the general expansion there
         general = mode_contribution_general(
-            mode, sigma, (ybii_eta.eta_x, ybii_eta.eta_y, ybii_eta.eta_z),
+            mode, sigma, (eta.eta_x, eta.eta_y, eta.eta_z),
             (0.0, 0.0, z), order=6)
         assert general == pytest.approx(fast, rel=1e-8)
 
@@ -145,10 +160,17 @@ def test_contributions_are_positive(ybii_eta):
 
 
 def test_series_order_convergence(ybii_eta):
+    # rel_tol = 1e-12 keeps more series terms; z = 140 is in the
+    # calibration window, where the rates are smallest
+    tight = RATE_QUADRATURE.replace(rel_tol=1e-12)
+    assert len(_series_terms(0, ybii_eta.eta_x, ybii_eta.eta_z, 1e-12)) \
+        > len(_series_terms(0, ybii_eta.eta_x, ybii_eta.eta_z,
+                            RATE_QUADRATURE.rel_tol))
     mode = ModeParams(omega=1.0, m=0, kappa=1.1, family="E")
-    coarse = mode_contribution(mode, 0, ybii_eta, -3.0, n_axial=3, n_radial=3)
-    fine = mode_contribution(mode, 0, ybii_eta, -3.0, n_axial=5, n_radial=5)
-    assert abs(coarse - fine) / fine < 0.005
+    for z in (-3.0, 140.0):
+        default = mode_contribution(mode, 0, ybii_eta, z)
+        fine = mode_contribution(mode, 0, ybii_eta, z, tight)
+        assert abs(default - fine) / fine < 1e-10
 
 
 def test_total_rate_structure(ybii_eta, dipole_axial):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from paramodes.core import ModeParams, SIGMAS, circular_components, cartesian_from_circular
-from paramodes.numerics import theta_from_u, u_from_theta
+from paramodes.numerics import theta_from_u
+from paramodes.oracles import (
+    hertz_component, khat, transversality_residual, u_from_theta,
+)
 from paramodes.spectrum import (
-    hertz_component, cross_with_khat, sigma_profile, mode_spectrum,
-    khat, transversality_residual, u_spectrum,
+    cross_with_khat, sigma_profile, mode_spectrum, u_spectrum,
 )
 
 

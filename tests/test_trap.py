@@ -3,9 +3,9 @@ import pytest
 from scipy.special import iv
 
 from paramodes.core import HBAR, C_LIGHT, TrapSpec
-from paramodes.trap import (
-    LambDicke, lamb_dicke, form_factor, azimuthal_pair_integral,
-    bessel_weight_profile,
+from paramodes.trap import LambDicke, lamb_dicke
+from paramodes.oracles import (
+    form_factor, azimuthal_pair_integral, bessel_weight_profile,
 )
 
 TWO_PI = 2.0 * np.pi

@@ -88,6 +88,9 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
                                               optimize=False)
         return out[0], out[1]
 
+    # uniform panels (z = 0 to refine): every field-figures grid converges
+    # on its first grid, and a graded one was no faster (run_s 0.254-0.269 s
+    # against 0.250-0.263 s uniform, 3 alternating pairs, 2-core VM)
     return refine(estimate, oscillation_count(mode.kappa, np.abs(z).max(),
                                               rho.max(), cfg), cfg)[0]
 

@@ -8,11 +8,12 @@ at |u| <= U with a raised-cosine taper; endpoint oscillations the taper
 removes are unobservable downstream (trap Gaussians regularize them).
 
 Integration is composite 15-point Kronrod with the embedded 7-point Gauss
-rule as error estimate.  The initial panel density scales with the phase
+rule as error estimate.  The initial panel count scales with the phase
 oscillation count; refinement doubles the panel count globally, which keeps
 results deterministic and vectorizes over many integrands at once.  Panel
 edges always fall on the taper knees, where the taper's second derivative
-jumps.
+jumps, and a trap phase z cos(theta) grades the panels toward u = 0, where
+its oscillations crowd.
 """
 
 import numpy as np
@@ -100,23 +101,68 @@ def panel_nodes(n_panels, a, b):
     return u, wk, wg
 
 
-def window_nodes(n_panels, cfg=DEFAULT_QUADRATURE):
-    """panel_nodes over |u| <= window with panel edges on the taper knees
-    +-(1 - taper_fraction) W, where the taper's second derivative jumps, so
-    no panel straddles a knee.  The n_panels panels are shared between the
-    two taper segments and the flat middle in proportion to their lengths;
-    for n_panels a multiple of 10 (at the default taper_fraction 0.2) that
-    is the uniform grid."""
+def window_nodes(n_panels, cfg=DEFAULT_QUADRATURE, z=0.0, n_oscillations=0.0):
+    """Composite K15 nodes and (Kronrod, Gauss) weights over |u| <= window,
+    with panel edges on the taper knees +-(1 - taper_fraction) W, where the
+    taper's second derivative jumps, so no panel straddles a knee.
+
+    For z = 0 the n_panels panels are shared between the two taper segments
+    and the flat middle in proportion to their lengths; for n_panels a
+    multiple of 10 (at the default taper_fraction 0.2) that is the uniform
+    grid.  A nonzero trap-phase amplitude z grades them: the phase
+    z tanh u oscillates at the local rate |z| sech^2 u, so its 2|z|/2pi
+    oscillations crowd near u = 0, while the rest of n_oscillations (the
+    kappa and rho phases) spread evenly.  Segments then get panels in
+    proportion to the increase of (ppo = panels_per_oscillation)
+
+        G(u) = (ppo rest + min_panels) u / (2W) + ppo |z| tanh(u) / 2pi,
+        rest = n_oscillations - |z| / pi,
+
+    and inside each segment the edges equidistribute G.
+    """
     W = cfg.window
     knee = (1.0 - cfg.taper_fraction) * W
     if not 0.0 < knee < W or n_panels < 3:
         return panel_nodes(n_panels, -W, W)
-    n_taper = min(max(1, round(n_panels * cfg.taper_fraction / 2)),
+    if z == 0:
+        n_taper = min(max(1, round(n_panels * cfg.taper_fraction / 2)),
+                      (n_panels - 1) // 2)
+        parts = [panel_nodes(n, a, b) for n, a, b in (
+            (n_taper, -W, -knee), (n_panels - 2 * n_taper, -knee, knee),
+            (n_taper, knee, W))]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+    ppo = cfg.panels_per_oscillation
+    rest = max(n_oscillations - abs(z) / np.pi, 0.0)
+    alpha = (ppo * rest + cfg.min_panels) / (2 * W)
+    beta = ppo * abs(z) / (2 * np.pi)
+
+    def G(u):
+        return alpha * u + beta * np.tanh(u)
+
+    G_knee, G_W = G(knee), G(W)
+    n_taper = min(max(1, round(n_panels * (G_W - G_knee) / (2 * G_W))),
                   (n_panels - 1) // 2)
-    parts = [panel_nodes(n, a, b) for n, a, b in (
-        (n_taper, -W, -knee), (n_panels - 2 * n_taper, -knee, knee),
-        (n_taper, knee, W))]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    n_mid = n_panels - 2 * n_taper
+    target = np.concatenate((
+        np.linspace(-G_W, -G_knee, n_taper + 1)[1:-1],
+        np.linspace(-G_knee, G_knee, n_mid + 1)[1:-1],
+        np.linspace(G_knee, G_W, n_taper + 1)[1:-1]))
+    # G is odd and increasing: invert |target| from linear interpolation in
+    # a 33-point table of G, then four Newton steps, which reach round-off
+    # for any ratio of beta to alpha
+    t = np.abs(target)
+    table = np.linspace(0.0, W, 33)
+    u = np.interp(t, G(table), table)
+    for _ in range(4):
+        u -= (G(u) - t) / (alpha + beta / np.cosh(u) ** 2)
+    u = np.copysign(u, target)
+    k, m = n_taper - 1, n_taper + n_mid - 2
+    edges = np.concatenate(([-W], u[:k], [-knee], u[k:m], [knee], u[m:], [W]))
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((mid + half * _X15).ravel(), (half * _WK15).ravel(),
+            (half * _WG15).ravel())
 
 
 def taper_window(u, cfg=DEFAULT_QUADRATURE):
@@ -137,11 +183,12 @@ def oscillation_count(kappa, z, rho, cfg=DEFAULT_QUADRATURE):
         / (2 * np.pi)
 
 
-def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE):
+def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
     """The refinement driver of every angular quadrature.
 
     estimate(u, wk, wg) returns the (Kronrod, Gauss) pair of whatever the
-    integrals reduce to (e.g. a quadratic form) on the nodes u.  Panels
+    integrals reduce to (e.g. a quadratic form) on the nodes u of
+    window_nodes, graded by the trap-phase amplitude z.  Panels
     double until, for each index of the estimate's leading axis, the pair
     agrees to rel_tol of that row's largest Kronrod magnitude, plus an
     absolute floor; an estimate with ndim <= 1 is one row.  Returns
@@ -150,7 +197,8 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE):
     n_panels = max(cfg.min_panels,
                    int(np.ceil(n_oscillations * cfg.panels_per_oscillation)))
     for _ in range(cfg.max_refinements + 1):
-        est_k, est_g = estimate(*window_nodes(n_panels, cfg))
+        est_k, est_g = estimate(*window_nodes(n_panels, cfg, z,
+                                              n_oscillations))
         rows = len(est_k) if np.ndim(est_k) > 1 else 1
         resid = np.abs(est_k - est_g).reshape(rows, -1).max(axis=1, initial=0.0)
         scale = np.abs(est_k).reshape(rows, -1).max(axis=1, initial=0.0)

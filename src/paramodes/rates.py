@@ -235,8 +235,10 @@ def series_rows(catalog, dipole: DipoleSpec, eta: LambDicke,
 # u-nodes per block of the rate engine's node sum (70 K15 panels).  A
 # block's partial sum is the unit of work that `threads` schedules, and the
 # partial sums are added in block order, so the bits never depend on the
-# thread count; the block also bounds the working set.
+# thread count; the block also bounds the working set, together with the
+# z values per tile of the trap-phase matrix.
 _U_BLOCK = 1050
+_Z_BLOCK = 64
 
 
 def _spectra(modes, sigma, u, s, c):
@@ -263,7 +265,9 @@ def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, pool_map=map):
     M = base(u) row_r(u) e^{-i z cos theta}, then
     T = sum_r gamma_r |G|^2 over the series rows _series_terms keeps at
     cfg.rel_tol.  The node sum runs in blocks of _U_BLOCK nodes
-    through pool_map, and refine() tests each mode's row on its own scale.
+    through pool_map, each building M in tiles of _Z_BLOCK z values, and
+    refine() grades the grid by the largest |z| and tests each mode's row
+    on its own scale.
     """
     if not eta.axisymmetric:
         raise NotImplementedError(
@@ -286,13 +290,18 @@ def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, pool_map=map):
         rows = base[:, None] \
             * np.take(np.vander(c, p.max() + 1, increasing=True), p, axis=1) \
             * np.take(np.vander(s, e_r.max() + 1, increasing=True), e_r, axis=1)
-        phase = np.exp(-1j * np.multiply.outer(c, z_values))
-        M = (rows[:, :, None] * phase[:, None, :]).reshape(len(u), -1)
-        return np.concatenate((conj_a * wk, conj_a * wg)) @ M
+        A = np.concatenate((conj_a * wk, conj_a * wg))
+        G = np.empty((len(A), len(gam), len(z_values)), dtype=complex)
+        for q in range(0, len(z_values), _Z_BLOCK):
+            zb = slice(q, q + _Z_BLOCK)
+            phase = np.exp(-1j * np.multiply.outer(c, z_values[zb]))
+            M = (rows[:, :, None] * phase[:, None, :]).reshape(len(u), -1)
+            G[:, :, zb] = (A @ M).reshape(len(A), len(gam), -1)
+        return G
 
     def estimate(u, wk, wg):
         # a pooled map returns every block's part at once; a part has
-        # 2 len(modes) / _U_BLOCK of the elements of its block's M
+        # 2 len(modes) / _U_BLOCK of the elements of its block's M tiles
         parts = iter(pool_map(block, [(u[i:i + _U_BLOCK], wk[i:i + _U_BLOCK],
                                        wg[i:i + _U_BLOCK])
                                       for i in range(0, len(u), _U_BLOCK)]))
@@ -304,7 +313,8 @@ def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, pool_map=map):
 
     kmax = max(abs(mode.kappa) for mode in modes)
     zmax = float(np.abs(z_values).max(initial=0.0))
-    return refine(estimate, oscillation_count(kmax, zmax, 0.0, cfg), cfg)[0]
+    return refine(estimate, oscillation_count(kmax, zmax, 0.0, cfg), cfg,
+                  zmax)[0]
 
 
 def mode_contribution(mode, sigma, eta: LambDicke, z_center,

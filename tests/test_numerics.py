@@ -5,7 +5,7 @@ from scipy.special import jv
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE,
     panel_nodes, window_nodes, taper_window, sin_cos_theta, theta_from_u,
-    bessel_j,
+    bessel_j, oscillation_count,
 )
 from paramodes.oracles import (
     integrate_adaptive, u_from_theta, bessel_i, bessel_j_series,
@@ -83,6 +83,62 @@ def test_window_nodes_put_edges_on_taper_knees():
     for got, want in zip(window_nodes(100, cfg),
                          panel_nodes(100, -cfg.window, cfg.window)):
         assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def _first_grid(kappa, z, cfg):
+    """(n_panels, n_oscillations) of refine's first grid for a rate phase."""
+    nosc = oscillation_count(kappa, z, 0.0, cfg)
+    return max(cfg.min_panels,
+               int(np.ceil(nosc * cfg.panels_per_oscillation))), nosc
+
+
+def test_graded_window_nodes_put_edges_on_taper_knees():
+    cfg = DEFAULT_QUADRATURE.replace(panels_per_oscillation=2.0)
+    knee = (1.0 - cfg.taper_fraction) * cfg.window
+    for kappa, z in ((0.0, 3.0), (0.0, 160.0), (5.6, -40.0), (21.0, 140.0)):
+        n_first, nosc = _first_grid(kappa, z, cfg)
+        for n_panels in (n_first, 2 * n_first, 97):
+            u, wk, wg = window_nodes(n_panels, cfg, z, nosc)
+            assert len(u) == len(wk) == len(wg) == 15 * n_panels
+            assert abs(float(wk.sum()) - 2 * cfg.window) <= 1e-14 * cfg.window
+            panels = u.reshape(n_panels, 15)
+            assert np.all(np.diff(u) > 0.0)
+            for edge in (-knee, knee):
+                assert np.all((panels.max(axis=1) < edge)
+                              | (panels.min(axis=1) > edge))
+            # the trap phase crowds the panels toward u = 0
+            width = np.ptp(panels, axis=1)
+            assert width[n_panels // 2] < width[0]
+
+
+def test_window_nodes_at_zero_z_are_the_knee_aligned_rule():
+    cfg = DEFAULT_QUADRATURE
+    W, knee = cfg.window, (1.0 - cfg.taper_fraction) * cfg.window
+    for n_panels in (24, 25, 92, 97, 100, 301):
+        n_taper = min(max(1, round(n_panels * cfg.taper_fraction / 2)),
+                      (n_panels - 1) // 2)
+        parts = [panel_nodes(n, a, b) for n, a, b in (
+            (n_taper, -W, -knee), (n_panels - 2 * n_taper, -knee, knee),
+            (n_taper, knee, W))]
+        want = [np.concatenate(arrays) for arrays in zip(*parts)]
+        for got in (window_nodes(n_panels, cfg),
+                    window_nodes(n_panels, cfg, 0.0, 40.0)):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+def test_graded_first_grid_resolves_the_trap_phase():
+    # Int sech^2(u) e^{i z tanh u} du over |u| <= W = 2 sin(z tanh W) / z
+    cfg = DEFAULT_QUADRATURE.replace(panels_per_oscillation=2.0)
+    z = 160.0
+    want = 2.0 * np.sin(z * np.tanh(cfg.window)) / z
+    n_panels, nosc = _first_grid(0.0, z, cfg)
+
+    def error(u, wk, wg):
+        return abs(complex(np.cosh(u) ** -2 * np.exp(1j * z * np.tanh(u)) @ wk)
+                   - want)
+    assert error(*window_nodes(n_panels, cfg, z, nosc)) <= 1e-12
+    assert error(*window_nodes(n_panels, cfg)) > 1e-6
 
 
 def test_taper_window_shape():

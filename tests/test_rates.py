@@ -7,6 +7,7 @@ from paramodes.core import ModeParams, DipoleSpec, EPS0, HBAR, C_LIGHT
 from paramodes.trap import LambDicke
 from paramodes.fieldeval import field_at_point
 from paramodes.numerics import DEFAULT_QUADRATURE, QuadratureError
+from paramodes import rates
 from paramodes.rates import (
     ModeCatalog, family_label,
     build_ladder, build_catalog, calibrate,
@@ -243,7 +244,7 @@ def test_total_rate_single_z_accuracy(ybii_eta, dipole_transverse):
     cat = build_catalog(MIXED_RULE, omega=1.0)
     converged = DEFAULT_QUADRATURE.replace(panels_per_oscillation=40.0,
                                            rel_tol=1e-12)
-    for z in (-11.2, 0.0, 3.7):
+    for z in (-40.0, -11.2, 0.0, 3.7, 140.0):
         got = total_rate(cat, dipole_transverse, ybii_eta, z)
         ref = total_rate(cat, dipole_transverse, ybii_eta, z, converged)
         bound = 1e-11 * ref.total
@@ -252,6 +253,42 @@ def test_total_rate_single_z_accuracy(ybii_eta, dipole_transverse):
             assert abs(a - b) <= bound
         for a, b in zip(got.rows, ref.rows):
             assert abs(a.weighted - b.weighted) * ref.calibration <= bound
+
+
+def test_calibrate_converges_on_first_grid(ybii_eta, dipole_transverse,
+                                          monkeypatch):
+    # panels graded by the trap phase resolve the calibration window's
+    # |z| <= 160 on the first grid of every (family, m, sigma) group
+    calls = []
+    refine = rates.refine
+
+    def counting_refine(estimate, *args):
+        calls.append(0)
+
+        def counted(u, wk, wg):
+            calls[-1] += 1
+            return estimate(u, wk, wg)
+        return refine(counted, *args)
+
+    monkeypatch.setattr(rates, "refine", counting_refine)
+    calibrate(build_catalog(MIXED_RULE, omega=1.0), dipole_transverse,
+              ybii_eta)
+    assert calls == [1] * 6
+
+
+def test_rate_engine_z_tiles_match_one_tile(ybii_eta, dipole_transverse,
+                                            monkeypatch):
+    cat = build_catalog(MIXED_RULE, omega=1.0)
+    zs = [-40.0, -11.2, 0.0, 3.7, 25.0]
+    whole = rate_scan(cat, dipole_transverse, ybii_eta, zs)
+    monkeypatch.setattr(rates, "_Z_BLOCK", 2)
+    tiled = rate_scan(cat, dipole_transverse, ybii_eta, zs)
+    ref = np.array([[row.weighted for row in r.rows] for r in whole])
+    got = np.array([[row.weighted for row in r.rows] for r in tiled])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    totals = np.array([r.total for r in whole])
+    assert np.max(np.abs([r.total for r in tiled] - totals)) \
+        <= 1e-13 * np.max(totals)
 
 
 def test_mode_table_sorted_and_normalized(ybii_eta, dipole_axial):

@@ -26,14 +26,13 @@ import numpy as np
 from scipy import special as _sp
 from scipy.special import gammaln
 
-from .core import ModeParams
+from .core import ModeParams, SIGMAS
 from .fieldeval import FieldSample
 from .numerics import (
     DEFAULT_QUADRATURE, oscillation_count, refine, taper_window,
     sin_cos_theta, theta_from_u,
 )
-from .rates import _spectra
-from .spectrum import _check_theta, mode_spectrum
+from .spectrum import _check_theta, mode_spectrum, u_spectrum
 from .trap import LambDicke
 
 
@@ -220,7 +219,7 @@ def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
     def estimate(u, wk, wg):
         s, c = sin_cos_theta(u)
         # conjugate side of the quadratic form supplies e^{-iZc}
-        v = s**2 * _spectra([mode], sigma, u, s, c)[0] \
+        v = s**2 * u_spectrum(mode, u)[SIGMAS.index(sigma)] \
             * taper_window(u, cfg) * np.exp(1j * z_center * c)
         dz = c[:, None] - c[None, :]
         kernel = np.exp(-eta.eta_z**2 * dz**2 / 2.0) \
@@ -275,7 +274,7 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
         kx = s[:, None] * np.cos(phik)[None, :]
         ky = s[:, None] * np.sin(phik)[None, :]
         kz = c[:, None] * np.ones((1, n_phi))
-        base = (s**2 * np.conj(_spectra([mode], sigma, u, s, c)[0])
+        base = (s**2 * np.conj(u_spectrum(mode, u)[SIGMAS.index(sigma)])
                 * taper_window(u, cfg))[:, None] \
             * np.exp(-1j * n * phik)[None, :] / (2 * np.pi) \
             * np.exp(-1j * (kx * x0 + ky * y0 + kz * z0)) \

@@ -22,9 +22,10 @@ catalog total averages to one over a far-field window on the shadow side,
 where the mirror no longer modifies the emission.
 """
 
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
+from threading import Lock
 
 import numpy as np
 from scipy.special import gammaln
@@ -232,86 +233,108 @@ def series_rows(catalog, dipole: DipoleSpec, eta: LambDicke,
             for n in sorted(windings)}
 
 
-# u-nodes per block of the rate engine's node sum (70 K15 panels).  A
-# block's partial sum is the unit of work that `threads` schedules, and the
-# partial sums are added in block order, so the bits never depend on the
-# thread count; the block also bounds the working set, together with the
-# z values per tile of the trap-phase matrix.
+# u-nodes per block of the rate engine's node sum (70 K15 panels), and z
+# values per tile of the trap-phase matrix; together they bound the working
+# set.  Node blocks are the only unit of work that `threads` shares out.
 _U_BLOCK = 1050
 _Z_BLOCK = 64
 
 
-def _spectra(modes, sigma, u, s, c):
-    """a_sigma(u) of modes of one family, shape (len(modes), len(u)).
+class _BlockSum:
+    """Per-group sums of node-block parts added from any thread, in block
+    order, so the bits never depend on the thread count.  Early parts wait;
+    others are added, and freed, at once.  The caller's thread allocates
+    the sums, so no worker's heap holds them between blocks."""
 
-    One unit_spectra evaluation on the nodes, combined with each mode's
-    coefficients and times its kappa phase e^{-2 i kappa u}.
-    """
-    unit = unit_spectra(modes[0].family, s, c)[SIGMAS.index(sigma)]
-    coeffs = np.array([mode.coeffs for mode in modes])
-    kappa = np.array([mode.kappa for mode in modes])
-    return sum(coeffs[:, j, None] * unit[j] for j in range(3)) \
-        * np.exp(-2j * np.multiply.outer(kappa, u))
+    def __init__(self, shapes):
+        self.sums = [np.zeros(shape, dtype=complex) for shape in shapes]
+        self._next = [0] * len(shapes)
+        self._early = {}
+        self._lock = Lock()
+
+    def add(self, block, group, part):
+        with self._lock:
+            self._early[block, group] = part
+            while (self._next[group], group) in self._early:
+                self.sums[group] += self._early.pop((self._next[group], group))
+                self._next[group] += 1
 
 
-def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, pool_map=map):
-    """T_sigma[k, z] of modes sharing one family and winding m, over an
-    array of axial trap centers: the rate engine.
+def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
+    """T_sigma[t, z] of every (mode, sigma) task over an array of axial
+    trap centers: the rate engine.
 
-    kappa and the coefficients enter T only through the spectrum, so every
-    mode shares one grid, sized by the largest |kappa| and |z|:
-    G[k, r, z] = sum_u A[k, u] M[u, r, z] with
-    A = w_u conj(a_sigma(u)) (Kronrod and Gauss weights stacked) and
-    M = base(u) row_r(u) e^{-i z cos theta}, then
-    T = sum_r gamma_r |G|^2 over the series rows _series_terms keeps at
-    cfg.rel_tol.  The node sum runs in blocks of _U_BLOCK nodes
-    through pool_map, each building M in tiles of _Z_BLOCK z values, and
-    refine() grades the grid by the largest |z| and tests each mode's row
-    on its own scale.
+    Every task shares one grid, sized by the largest |kappa| and |z|, and
+    one refine() that tests each task's row on its own scale.  Per winding
+    n = |m - sigma|, T = sum_r gamma_r |G|^2 over the series rows
+    _series_terms keeps at cfg.rel_tol, with G[t, r, z] = sum_u A[t, u]
+    M[u, r, z], A = w_u e^{2 i kappa u} sum_j conj(c_j unit_j(u)) (Kronrod
+    and Gauss weights stacked) and M = base(u) row_r(u) e^{-i z cos theta}.
+    The sum runs per tile of z values, then per winding, over node blocks
+    through pool_map.  A block builds the kappa phase once per distinct
+    kappa, unit_spectra once per family and M once, then one gemm per group
+    of tasks sharing family and sigma.
     """
     if not eta.axisymmetric:
         raise NotImplementedError(
             "the rate engine assumes eta_x == eta_y; anisotropic traps have "
             "only the slow paramodes.oracles.mode_contribution_general")
     z_values = np.asarray(z_values, dtype=float)
-    terms = _series_terms(abs(modes[0].m - sigma), eta.eta_x, eta.eta_z,
-                          cfg.rel_tol)
-    if not terms:
-        return np.zeros((len(modes), len(z_values)))
-    p, e_r, gam = (np.array(t) for t in zip(*terms))
+    kappas, kidx = np.unique([mode.kappa for mode, _ in tasks],
+                             return_inverse=True)
+    conj_c = np.conj([mode.coeffs for mode, _ in tasks])
+    windings = {}
+    for t, (mode, sigma) in enumerate(tasks):
+        windings.setdefault(abs(mode.m - sigma), {}).setdefault(
+            (mode.family, SIGMAS.index(sigma)), []).append(t)
+    passes = []  # (series terms, {(family, sigma index): tasks}) per winding
+    for n, groups in sorted(windings.items()):
+        terms = _series_terms(n, eta.eta_x, eta.eta_z, cfg.rel_tol)
+        if terms:  # else T stays 0
+            passes.append(([np.array(t) for t in zip(*terms)], groups))
 
-    def block(nodes):
-        u, wk, wg = nodes
+    def block(terms, groups, z_tile, add, numbered_nodes):
+        b, (u, wk, wg) = numbered_nodes
+        p, e_r, _ = terms
         s, c = sin_cos_theta(u)
-        conj_a = np.conj(_spectra(modes, sigma, u, s, c))
+        w = np.stack((wk, wg))[:, None, :]
+        kappa_phase = np.exp(2j * np.multiply.outer(kappas, u))
+        unit = {fam: np.conj(unit_spectra(fam, s, c))
+                for fam in {fam for fam, _ in groups}}
         base = s**2 * taper_window(u, cfg) \
             * np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
         # (node, row) powers c^p s^e_r, C-ordered so M reshapes without a copy
         rows = base[:, None] \
             * np.take(np.vander(c, p.max() + 1, increasing=True), p, axis=1) \
             * np.take(np.vander(s, e_r.max() + 1, increasing=True), e_r, axis=1)
-        A = np.concatenate((conj_a * wk, conj_a * wg))
-        G = np.empty((len(A), len(gam), len(z_values)), dtype=complex)
-        for q in range(0, len(z_values), _Z_BLOCK):
-            zb = slice(q, q + _Z_BLOCK)
-            phase = np.exp(-1j * np.multiply.outer(c, z_values[zb]))
-            M = (rows[:, :, None] * phase[:, None, :]).reshape(len(u), -1)
-            G[:, :, zb] = (A @ M).reshape(len(A), len(gam), -1)
-        return G
+        M = (rows[:, :, None]
+             * np.exp(-1j * np.multiply.outer(c, z_tile))[:, None, :]
+             ).reshape(len(u), -1)
+        for g, ((fam, i_sigma), idx) in enumerate(groups.items()):
+            a = kappa_phase[kidx[idx]] * sum(
+                conj_c[idx, j, None] * unit[fam][i_sigma, j] for j in range(3))
+            add(b, g, (a * w).reshape(2 * len(idx), -1) @ M)
 
     def estimate(u, wk, wg):
-        # a pooled map returns every block's part at once; a part has
-        # 2 len(modes) / _U_BLOCK of the elements of its block's M tiles
-        parts = iter(pool_map(block, [(u[i:i + _U_BLOCK], wk[i:i + _U_BLOCK],
-                                       wg[i:i + _U_BLOCK])
-                                      for i in range(0, len(u), _U_BLOCK)]))
-        G = next(parts)
-        for part in parts:
-            G += part
-        G = np.abs(G.reshape(2, len(modes), len(gam), len(z_values))) ** 2
-        return np.einsum("r,wkrz->wkz", gam, G, optimize=False)
+        blocks = [(u[i:i + _U_BLOCK], wk[i:i + _U_BLOCK], wg[i:i + _U_BLOCK])
+                  for i in range(0, len(u), _U_BLOCK)]
+        T = np.zeros((2, len(tasks), len(z_values)))
+        for q in range(0, len(z_values), _Z_BLOCK):
+            zt = slice(q, q + _Z_BLOCK)
+            n_z = len(z_values[zt])
+            for terms, groups in passes:
+                G = _BlockSum([(2 * len(idx), len(terms[2]) * n_z)
+                               for idx in groups.values()])
+                # the blocks add their parts to G; list() runs them all
+                list(pool_map(partial(block, terms, groups, z_values[zt],
+                                      G.add), enumerate(blocks)))
+                for idx, g in zip(groups.values(), G.sums):
+                    g = np.abs(g.reshape(2, len(idx), len(terms[2]), -1)) ** 2
+                    T[:, idx, zt] = np.einsum("r,wkrz->wkz", terms[2], g,
+                                              optimize=False)
+        return T[0], T[1]
 
-    kmax = max(abs(mode.kappa) for mode in modes)
+    kmax = float(np.abs(kappas).max())
     zmax = float(np.abs(z_values).max(initial=0.0))
     return refine(estimate, oscillation_count(kmax, zmax, 0.0, cfg), cfg,
                   zmax)[0]
@@ -320,8 +343,9 @@ def _catalog_T(modes, sigma, eta: LambDicke, z_values, cfg, pool_map=map):
 def mode_contribution(mode, sigma, eta: LambDicke, z_center,
                       cfg=RATE_QUADRATURE):
     """Positive emission weight T_sigma of one mode at axial trap center;
-    a one-row view of the rate engine."""
-    return float(_catalog_T([mode], sigma, eta, [float(z_center)], cfg)[0, 0])
+    a one-task view of the rate engine."""
+    return float(_catalog_T([(mode, sigma)], eta, [float(z_center)],
+                            cfg)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -367,12 +391,12 @@ class RateResult:
         }
 
 
-def _assemble(catalog, z_values, t_tables, weights):
-    """Fold per-(mode, sigma) T arrays into one RateResult per z.
+def _assemble(catalog, z_values, t_sigma, weights):
+    """Fold t_sigma[mode, sigma index, z] into one RateResult per z.
 
     Summation order is fixed by the catalog: per family in first-appearance
     order, modes within a family in catalog order.  Identical regardless of
-    how the tables were computed.
+    how the table was computed.
     """
     results = []
     labels = catalog.family_labels
@@ -380,8 +404,7 @@ def _assemble(catalog, z_values, t_tables, weights):
         rows = []
         subtotals = {lab: 0.0 for lab in labels}
         for im, mode in enumerate(catalog.modes):
-            tsig = tuple(float(t_tables[(im, s)][iz]) if (im, s) in t_tables
-                         else 0.0 for s in SIGMAS)
+            tsig = tuple(float(t) for t in t_sigma[im, :, iz])
             wsum = 0.0
             for s, t in zip(SIGMAS, tsig):
                 wsum += weights[s] * t
@@ -397,50 +420,27 @@ def _assemble(catalog, z_values, t_tables, weights):
     return results
 
 
-def _gather(pool, fn, items):
-    """[fn(item) for item in items] on the pool's threads.  The caller
-    sleeps once, until every call has returned, rather than waking for
-    each result in turn."""
-    futures = [pool.submit(fn, item) for item in items]
-    wait(futures)
-    return [f.result() for f in futures]
-
-
 def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
               cfg=RATE_QUADRATURE, threads=1):
     """Calibrated total rate versus axial trap center.
 
-    The catalog is split into (family, m, sigma) groups, one rate-engine
-    call each.  Threads share out whole groups when there are at least as
-    many groups as threads, and a group's fixed node blocks otherwise.
-    Either way every group does the same arithmetic in the same order, so
-    the output is bit-identical for any thread count.  threads=1 runs in
-    the calling thread, with no pool.
+    One rate-engine call covers every (mode, sigma) task of the catalog
+    with a nonzero dipole weight.  Threads share out the engine's fixed
+    node blocks, whose parts are added in block order, so the output is
+    bit-identical for any thread count.  threads=1 runs in the calling
+    thread, with no worker thread.
     """
     z_values = np.asarray(z_values, dtype=float)
     weights = {s: dipole.sigma_weight(s) for s in SIGMAS}
-    families = {}
-    for im, mode in enumerate(catalog.modes):
-        families.setdefault((mode.family, mode.m), []).append(im)
-    groups = [(members, s) for members in families.values()
-              for s in SIGMAS if weights[s] > 0.0]
-
-    def run(group, inner=map):
-        members, s = group
-        return _catalog_T([catalog.modes[im] for im in members], s, eta,
-                          z_values, cfg, inner)
-
-    if threads == 1:
-        T = [run(group) for group in groups]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            if len(groups) >= threads:
-                T = _gather(pool, run, groups)
-            else:
-                T = [run(group, partial(_gather, pool)) for group in groups]
-    tables = {(im, s): row for (members, s), rows in zip(groups, T)
-              for im, row in zip(members, rows)}
-    return _assemble(catalog, z_values, tables, weights)
+    active = [s for s in SIGMAS if weights[s] > 0.0]
+    tasks = [(mode, s) for mode in catalog.modes for s in active]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        T = _catalog_T(tasks, eta, z_values, cfg,
+                       map if threads == 1 else pool.map)
+    t_sigma = np.zeros((len(catalog.modes), len(SIGMAS), len(z_values)))
+    t_sigma[:, [SIGMAS.index(s) for s in active]] = \
+        T.reshape(len(catalog.modes), len(active), -1)
+    return _assemble(catalog, z_values, t_sigma, weights)
 
 
 def total_rate(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,

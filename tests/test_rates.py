@@ -1,9 +1,13 @@
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from paramodes.core import ModeParams, DipoleSpec, EPS0, HBAR, C_LIGHT
+from paramodes.core import (
+    ModeParams, DipoleSpec, SIGMAS, EPS0, HBAR, C_LIGHT,
+)
 from paramodes.trap import LambDicke
 from paramodes.fieldeval import field_at_point
 from paramodes.numerics import DEFAULT_QUADRATURE, QuadratureError
@@ -121,6 +125,19 @@ def test_engine_paths_agree(ybii_eta):
         assert general == pytest.approx(fast, rel=1e-8)
 
 
+def test_engine_paths_agree_for_general_coefficients(ybii_eta):
+    # the default triple (1, -1, 0) gives |a_+| = |a_-|, which hides a
+    # swapped sigma channel; these triples do not
+    for fam, m, kappa, coeffs in (("E", 0, 0.64, (1.0, 0.3j, 0.5)),
+                                  ("B", 1, -1.2, (0.2, 1.0, -0.4j))):
+        mode = ModeParams(omega=1.0, m=m, kappa=kappa, family=fam,
+                          coeffs=coeffs)
+        for sigma in SIGMAS:
+            fast = mode_contribution(mode, sigma, ybii_eta, -4.0)
+            dense = mode_contribution_direct(mode, sigma, ybii_eta, -4.0)
+            assert dense == pytest.approx(fast, rel=1e-8)
+
+
 def test_rate_paths_raise_when_refinement_is_exhausted(ybii_eta):
     cfg = DEFAULT_QUADRATURE.replace(max_refinements=0,
                                      panels_per_oscillation=0.1)
@@ -222,9 +239,10 @@ def test_scale_equivariance(ybii_eta, dipole_axial):
 
 def test_rate_scan_deterministic_across_threads(ybii_eta, dipole_axial,
                                                dipole_transverse):
-    # one (family, m, sigma) group: threads share out its node blocks; six
-    # groups: threads take whole groups (3) or, with more threads than
-    # groups (8), the blocks of each group, two blocks at |z| = 40
+    # threads share out the engine's node blocks, one winding at a time:
+    # one winding and one group on the tiny catalog; three windings and six
+    # groups on the mixed one, where 8 threads outnumber the two blocks
+    # each winding has at |z| = 40
     cases = [(_tiny_catalog(), dipole_axial, [-6.0, -2.0, 0.0, 2.0, 6.0],
               (3,)),
              (build_catalog(MIXED_RULE, omega=1.0), dipole_transverse,
@@ -255,10 +273,41 @@ def test_total_rate_single_z_accuracy(ybii_eta, dipole_transverse):
             assert abs(a.weighted - b.weighted) * ref.calibration <= bound
 
 
+def test_block_sum_adds_in_block_order_from_any_thread():
+    # parts spanning 16 decades, so another summation order changes bits;
+    # more threads than cores add them in shuffled order, switching often
+    rng = np.random.default_rng(5)
+    n_blocks, n_groups = 40, 3
+    parts = 10.0 ** rng.integers(-8, 9, (n_blocks, n_groups, 1)) \
+        * rng.normal(size=(n_blocks, n_groups, 4))
+    want = [parts[0, g].copy() for g in range(n_groups)]
+    for g in range(n_groups):
+        for b in range(1, n_blocks):
+            want[g] += parts[b, g]
+    assert not all(np.array_equal(w, parts[::-1, g].sum(axis=0))
+                   for g, w in enumerate(want))
+    total = rates._BlockSum([(4,)] * n_groups)
+    order = rng.permutation(n_blocks * n_groups)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(total.add, i // n_groups, i % n_groups,
+                                   parts[i // n_groups, i % n_groups].copy())
+                       for i in order]
+            for f in futures:
+                f.result(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    for g in range(n_groups):
+        assert np.array_equal(total.sums[g], want[g])
+
+
 def test_calibrate_converges_on_first_grid(ybii_eta, dipole_transverse,
                                           monkeypatch):
+    # one refine per calibrate call covers every (mode, sigma) task, and
     # panels graded by the trap phase resolve the calibration window's
-    # |z| <= 160 on the first grid of every (family, m, sigma) group
+    # |z| <= 160 on its first grid
     calls = []
     refine = rates.refine
 
@@ -273,7 +322,35 @@ def test_calibrate_converges_on_first_grid(ybii_eta, dipole_transverse,
     monkeypatch.setattr(rates, "refine", counting_refine)
     calibrate(build_catalog(MIXED_RULE, omega=1.0), dipole_transverse,
               ybii_eta)
-    assert calls == [1] * 6
+    assert calls == [1]
+
+
+def test_rate_scan_rows_match_single_task_engine(ybii_eta):
+    # families with different kappa sets and a coefficient triple per mode
+    # (c_0 != 0 in the E m=0 family), windings 0..2 and a B-family
+    # sigma = +-1 group: each row of the one-call scan must be the
+    # single-task value of its (mode, sigma)
+    modes = tuple(
+        [ModeParams(omega=1.0, m=0, kappa=k, family="E",
+                    coeffs=(1.0, -0.4 * k, 0.7j + k))
+         for k in (-1.3, 0.3, 2.2)]
+        + [ModeParams(omega=1.0, m=1, kappa=k, family="B",
+                      coeffs=(0.6 * k, 1.1 - 0.3j, 0.0)) for k in (-3.1, 0.9)]
+        + [ModeParams(omega=1.0, m=-1, kappa=k, family="E",
+                      coeffs=(1.0, k - 1.0, 0.0)) for k in (-0.5, 4.4)])
+    cat = ModeCatalog(modes=modes)
+    dipole = DipoleSpec((0.6, 0.0, 0.8))   # every sigma weighted
+    zs = [-9.0, 0.0, 4.5]
+    res = rate_scan(cat, dipole, ybii_eta, zs)
+    for im, mode in enumerate(modes):
+        for js, sigma in enumerate(SIGMAS):
+            scan = np.array([r.rows[im].t_sigma[js] for r in res])
+            single = np.array([mode_contribution(mode, sigma, ybii_eta, z)
+                               for z in zs])
+            # each path converges to rel_tol of its own row scale
+            bound = 2 * RATE_QUADRATURE.rel_tol * max(scan.max(),
+                                                      single.max()) + 1e-15
+            assert np.max(np.abs(scan - single)) <= bound
 
 
 def test_rate_engine_z_tiles_match_one_tile(ybii_eta, dipole_transverse,

@@ -288,6 +288,7 @@ def cmd_rate_scan(args):
 
 
 def cmd_mode_table(args):
+    _number(args.z, "--z")  # before calibrating, which a bad z would waste
     cfg, raw = _load_config(args)
     quad = _quadrature(args, RATE_QUADRATURE)
     catalog = _calibrated_catalog(cfg, raw, args, quad)
@@ -303,6 +304,7 @@ def cmd_mode_table(args):
 
 
 def cmd_perp_decomposition(args):
+    _number(args.z, "--z")
     cfg, raw = _load_config(args)
     quad = _quadrature(args, RATE_QUADRATURE)
     catalog = _calibrated_catalog(cfg, raw, args, quad)

@@ -24,7 +24,7 @@ where the mirror no longer modifies the emission.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from threading import Lock
 
 import numpy as np
@@ -191,8 +191,10 @@ _SERIES_CUT = 1e-3
 _MAX_SERIES_ROWS = 100
 
 
+@lru_cache(maxsize=256)
 def _series_terms(n_abs, eta_x, eta_z, rel_tol):
-    """Rank-one term list (p, radial exponent, gamma) of the kernel expansion.
+    """Rank-one terms (p, radial exponent, gamma) of the kernel expansion;
+    cached per winding, trap and tolerance, as tuples no caller can change.
 
     gamma_pq = a_p b_q with a_p = (eta_z^2)^p / p! and
     b_q = (eta_x^2 / 2)^(n + 2q) / (q! (q + n)!).  Both factors are
@@ -209,7 +211,7 @@ def _series_terms(n_abs, eta_x, eta_z, rel_tol):
         log_g = log_a[:, None] + log_b[None, :]
     top = log_g.max()
     if top == -np.inf:  # eta_x = 0 leaves no term of nonzero winding
-        return []
+        return ()
     keep = log_g >= top + np.log(_SERIES_CUT * rel_tol)
     if not np.isfinite(top) or keep[-1].any() or keep[:, -1].any() \
             or keep.sum() > _MAX_SERIES_ROWS:
@@ -218,8 +220,8 @@ def _series_terms(n_abs, eta_x, eta_z, rel_tol):
             f"eta_z = {eta_z:.4g} need more than {_MAX_SERIES_ROWS} series "
             f"terms at rel_tol {rel_tol:g}")
     p, q = np.nonzero(keep)
-    return list(zip(p.tolist(), (n_abs + 2 * q).tolist(),
-                    np.exp(log_g[p, q]).tolist()))
+    return tuple(zip(p.tolist(), (n_abs + 2 * q).tolist(),
+                     np.exp(log_g[p, q]).tolist()))
 
 
 def series_rows(catalog, dipole: DipoleSpec, eta: LambDicke,
@@ -270,16 +272,19 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     _series_terms keeps at cfg.rel_tol, with G[t, r, z] = sum_u A[t, u]
     M[u, r, z], A = w_u e^{2 i kappa u} sum_j conj(c_j unit_j(u)) (Kronrod
     and Gauss weights stacked) and M = base(u) row_r(u) e^{-i z cos theta}.
-    The sum runs per tile of z values, then per winding, over node blocks
-    through pool_map.  A block builds the kappa phase once per distinct
-    kappa, unit_spectra once per family and M once, then one gemm per group
-    of tasks sharing family and sigma.
+    The sum runs per tile of z values, with one pool_map over the node
+    blocks.  A block builds what no winding changes once: the kappa phase
+    per distinct kappa, unit_spectra per family, the c and s power tables
+    and the trap phase.  Then, per winding, it builds M and makes one gemm
+    per group of tasks sharing family and sigma.
     """
     if not eta.axisymmetric:
         raise NotImplementedError(
             "the rate engine assumes eta_x == eta_y; anisotropic traps have "
             "only the slow paramodes.oracles.mode_contribution_general")
     z_values = np.asarray(z_values, dtype=float)
+    if not np.isfinite(z_values).all():
+        raise ValueError(f"trap-center z values must be finite: {z_values}")
     kappas, kidx = np.unique([mode.kappa for mode, _ in tasks],
                              return_inverse=True)
     conj_c = np.conj([mode.coeffs for mode, _ in tasks])
@@ -288,32 +293,42 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
         windings.setdefault(abs(mode.m - sigma), {}).setdefault(
             (mode.family, SIGMAS.index(sigma)), []).append(t)
     passes = []  # (series terms, {(family, sigma index): tasks}) per winding
-    for n, groups in sorted(windings.items()):
+    for n, gs in sorted(windings.items()):
         terms = _series_terms(n, eta.eta_x, eta.eta_z, cfg.rel_tol)
         if terms:  # else T stays 0
-            passes.append(([np.array(t) for t in zip(*terms)], groups))
+            passes.append(([np.array(t) for t in zip(*terms)], gs))
+    groups = [(terms[2], idx) for terms, gs in passes for idx in gs.values()]
+    families = {fam for _, gs in passes for fam, _ in gs}
+    deg = max((max(t[0].max(), t[1].max()) for t, _ in passes), default=0)
 
-    def block(terms, groups, z_tile, add, numbered_nodes):
+    def block(z_tile, add, numbered_nodes):
         b, (u, wk, wg) = numbered_nodes
-        p, e_r, _ = terms
         s, c = sin_cos_theta(u)
         w = np.stack((wk, wg))[:, None, :]
         kappa_phase = np.exp(2j * np.multiply.outer(kappas, u))
-        unit = {fam: np.conj(unit_spectra(fam, s, c))
-                for fam in {fam for fam, _ in groups}}
+        unit = {fam: np.conj(unit_spectra(fam, s, c)) for fam in families}
         base = s**2 * taper_window(u, cfg) \
             * np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
-        # (node, row) powers c^p s^e_r, C-ordered so M reshapes without a copy
-        rows = base[:, None] \
-            * np.take(np.vander(c, p.max() + 1, increasing=True), p, axis=1) \
-            * np.take(np.vander(s, e_r.max() + 1, increasing=True), e_r, axis=1)
-        M = (rows[:, :, None]
-             * np.exp(-1j * np.multiply.outer(c, z_tile))[:, None, :]
-             ).reshape(len(u), -1)
-        for g, ((fam, i_sigma), idx) in enumerate(groups.items()):
-            a = kappa_phase[kidx[idx]] * sum(
-                conj_c[idx, j, None] * unit[fam][i_sigma, j] for j in range(3))
-            add(b, g, (a * w).reshape(2 * len(idx), -1) @ M)
+        c_pow = np.vander(c, deg + 1, increasing=True)
+        s_pow = np.vander(s, deg + 1, increasing=True)
+        # trap phase e^{-i z cos theta} as cos - i sin, built in place
+        phase = np.empty((len(u), len(z_tile)), dtype=complex)
+        np.multiply.outer(c, z_tile, out=phase.imag)
+        np.cos(phase.imag, out=phase.real)
+        np.negative(np.sin(phase.imag, out=phase.imag), out=phase.imag)
+        g = 0
+        for (p, e_r, _), gs in passes:
+            # (node, row) powers c^p s^e_r, C-ordered so M reshapes in place
+            rows = base[:, None] * np.take(c_pow, p, axis=1) \
+                * np.take(s_pow, e_r, axis=1)
+            M = (rows[:, :, None] * phase[:, None, :]).reshape(len(u), -1)
+            for (fam, i_sigma), idx in gs.items():
+                a = kappa_phase[kidx[idx]] * sum(
+                    conj_c[idx, j, None] * unit[fam][i_sigma, j]
+                    for j in range(3))
+                add(b, g, (a * w).reshape(2 * len(idx), -1) @ M)
+                g += 1
+            del rows, M, a  # one winding's M alive at a time
 
     def estimate(u, wk, wg):
         blocks = [(u[i:i + _U_BLOCK], wk[i:i + _U_BLOCK], wg[i:i + _U_BLOCK])
@@ -322,16 +337,15 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
         for q in range(0, len(z_values), _Z_BLOCK):
             zt = slice(q, q + _Z_BLOCK)
             n_z = len(z_values[zt])
-            for terms, groups in passes:
-                G = _BlockSum([(2 * len(idx), len(terms[2]) * n_z)
-                               for idx in groups.values()])
-                # the blocks add their parts to G; list() runs them all
-                list(pool_map(partial(block, terms, groups, z_values[zt],
-                                      G.add), enumerate(blocks)))
-                for idx, g in zip(groups.values(), G.sums):
-                    g = np.abs(g.reshape(2, len(idx), len(terms[2]), -1)) ** 2
-                    T[:, idx, zt] = np.einsum("r,wkrz->wkz", terms[2], g,
-                                              optimize=False)
+            G = _BlockSum([(2 * len(idx), len(gamma) * n_z)
+                           for gamma, idx in groups])
+            # the blocks add every winding's parts to G; list() runs them all
+            list(pool_map(partial(block, z_values[zt], G.add),
+                          enumerate(blocks)))
+            for (gamma, idx), g in zip(groups, G.sums):
+                g = np.abs(g.reshape(2, len(idx), len(gamma), -1)) ** 2
+                T[:, idx, zt] = np.einsum("r,wkrz->wkz", gamma, g,
+                                          optimize=False)
         return T[0], T[1]
 
     kmax = float(np.abs(kappas).max())

@@ -212,6 +212,20 @@ def test_perp_decomposition_output(tmp_path, capsys):
     assert payload["total"] == pytest.approx(sum(payload["families"].values()), rel=1e-12)
 
 
+@pytest.mark.parametrize("command", ["mode-table", "perp-decomposition"])
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+def test_non_finite_z_is_named_failure(tmp_path, capsys, monkeypatch,
+                                       command, z):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("calibrate ran for a non-finite --z")
+
+    monkeypatch.setattr("paramodes.cli.calibrate", unreachable)
+    out = str(tmp_path / "out")
+    assert main([command, "--preset", "ybII", "--out", out, f"--z={z}"]) == 1
+    err = capsys.readouterr().err
+    assert "--z" in err and "finite" in err and "Traceback" not in err
+
+
 def test_isosurface_output(tmp_path):
     cfg = _write(tmp_path, "map.json", TINY_MAP)
     out = tmp_path / "iso.npz"

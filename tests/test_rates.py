@@ -391,3 +391,62 @@ def test_free_space_rate_formula():
     omega, d = 5.0e15, 1.0e-29
     want = omega**3 * d**2 / (3 * np.pi * EPS0 * HBAR * C_LIGHT**3)
     assert gamma0(omega, d) == pytest.approx(want, rel=1e-15)
+
+
+def test_rate_engine_maps_once_per_z_tile(ybii_eta, monkeypatch):
+    # windings 0, 1 and 2 share one pool_map per z tile of every estimate
+    cat = build_catalog(MIXED_RULE, omega=1.0)
+    tasks = [(mode, s) for mode in cat.modes for s in (1, -1)]
+    assert {abs(mode.m - s) for mode, s in tasks} == {0, 1, 2}
+    estimates, tiles = [], []
+    refine = rates.refine
+
+    def counting_refine(estimate, *args):
+        def counted(u, wk, wg):
+            estimates.append(len(range(0, len(u), rates._U_BLOCK)))
+            return estimate(u, wk, wg)
+        return refine(counted, *args)
+
+    def recording_map(fn, blocks):
+        blocks = list(blocks)
+        tiles.append((tuple(fn.args[0]), len(blocks)))
+        return map(fn, blocks)
+
+    monkeypatch.setattr(rates, "refine", counting_refine)
+    monkeypatch.setattr(rates, "_Z_BLOCK", 2)
+    zs = [-40.0, -11.2, 0.0, 3.7, 25.0]
+    rates._catalog_T(tasks, ybii_eta, zs, RATE_QUADRATURE, recording_map)
+    want = [(tuple(zs[q:q + 2]), n_blocks) for n_blocks in estimates
+            for q in range(0, len(zs), 2)]
+    assert estimates and tiles == want
+
+
+def test_rate_engine_bits_match_across_threads_and_z_tiles(
+        ybii_eta, monkeypatch):
+    cat = build_catalog(MIXED_RULE, omega=1.0)
+    tasks = [(mode, s) for mode in cat.modes for s in (1, -1)]
+    monkeypatch.setattr(rates, "_Z_BLOCK", 2)
+    zs = [-40.0, -11.2, 0.0, 3.7, 25.0]
+    seq = rates._catalog_T(tasks, ybii_eta, zs, RATE_QUADRATURE)
+    for threads in (2, 8):
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            par = rates._catalog_T(tasks, ybii_eta, zs, RATE_QUADRATURE,
+                                   pool.map)
+        assert np.array_equal(seq, par)
+
+
+def test_series_terms_are_cached_and_immutable(ybii_eta):
+    args = (1, ybii_eta.eta_x, ybii_eta.eta_z, RATE_QUADRATURE.rel_tol)
+    terms = _series_terms(*args)
+    assert _series_terms(*args) is terms
+    assert isinstance(terms, tuple) and all(isinstance(t, tuple)
+                                            for t in terms)
+    for _ in range(2):  # a failure is not cached: every call raises
+        with pytest.raises(ValueError, match="trap too soft"):
+            _series_terms(0, 30.0, 30.0, 1e-10)
+
+
+def test_rate_scan_rejects_non_finite_z(ybii_eta, dipole_axial):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            rate_scan(_tiny_catalog(), dipole_axial, ybii_eta, [0.0, bad])

@@ -8,12 +8,12 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
-    IonSpec, TrapSpec, DipoleSpec, ModeParams, ATOMIC_MASS,
+    IonSpec, TrapSpec, DipoleSpec, ModeParams, ATOMIC_MASS, DEFAULT_COEFFS,
     E_MODE, B_MODE,
 )
 from .trap import LambDicke
@@ -37,14 +37,17 @@ class UsageError(Exception):
 
 
 def _number(value, what, kind=float):
-    """kind(value) of one configuration entry; a named ValueError otherwise."""
+    """kind(value) of one configuration entry, a finite number (not a bool)
+    and integral for kind int; a named ValueError otherwise."""
     try:
-        out = kind(value)
+        out = complex(value) if kind is complex else float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
-    if kind is not int and not np.isfinite(out):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return out
+        out = None
+    if out is None or isinstance(value, bool) or not np.isfinite(out):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    if kind is int and not out.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return kind(out)
 
 
 def _vector(value, what, length=None, kind=float):
@@ -99,7 +102,6 @@ class RunConfig:
     raw: dict
     ion: IonSpec = None
     dipole: DipoleSpec = None
-    trap: TrapSpec = None
     eta: LambDicke = None
     catalog_rule: dict = None
     window: tuple = None
@@ -133,9 +135,9 @@ class RunConfig:
                     "trap.center must be [0, 0, 0]: no engine reads an "
                     "off-origin center; rate commands scan z on the axis "
                     "through the 'scan' section or --z")
-            cfg.trap = TrapSpec(center=center, lambda_x=radial,
-                                lambda_y=radial, lambda_z=axial)
-            cfg.eta = LambDicke.from_trap(cfg.trap, cfg.ion.omega, cfg.ion.mass)
+            cfg.eta = LambDicke.from_trap(
+                TrapSpec(center=center, lambda_x=radial, lambda_y=radial,
+                         lambda_z=axial), cfg.ion.omega, cfg.ion.mass)
         cfg.catalog_rule = _section(raw, "catalog")
         if cfg.catalog_rule is not None:
             _check_catalog(cfg.catalog_rule)
@@ -164,8 +166,8 @@ class RunConfig:
             cfg.mode = ModeParams(
                 omega=omega, m=_field(mode, "mode", "m", int),
                 kappa=_field(mode, "mode", "kappa"), family=fam,
-                coeffs=_vector(mode.get("coeffs", (1, -1, 0)), "mode.coeffs",
-                               3, complex))
+                coeffs=_vector(mode.get("coeffs", DEFAULT_COEFFS),
+                               "mode.coeffs", 3, complex))
         mp = _section(raw, "map")
         if mp is not None:
             spec = {
@@ -221,17 +223,17 @@ def _load_config(args):
         raw = _merge(raw, overlay)
     if not raw:
         raise ValueError("provide --preset and/or --config")
-    return RunConfig.from_dict(raw), raw
+    return RunConfig.from_dict(raw)
 
 
 def _quadrature(args, cfg=DEFAULT_QUADRATURE):
     """cfg, the field or the rate quadrature, with --tolerance applied."""
     if args.tolerance is not None:
-        cfg = cfg.replace(rel_tol=args.tolerance)
+        cfg = replace(cfg, rel_tol=args.tolerance)
     return cfg
 
 
-def _calibrated_catalog(cfg, raw, args, quad):
+def _calibrated_catalog(cfg, args, quad):
     cfg.require("ion", "dipole", "eta", "catalog_rule", "window")
     catalog = build_catalog(cfg.catalog_rule, cfg.ion.omega)
     log.info("catalog: %d modes over %s", len(catalog.modes),
@@ -247,7 +249,7 @@ def _calibrated_catalog(cfg, raw, args, quad):
 
 
 def cmd_field_map(args):
-    cfg, raw = _load_config(args)
+    cfg = _load_config(args)
     cfg.require("mode", "map_spec")
     quad = _quadrature(args)
     mp = cfg.map_spec
@@ -260,7 +262,7 @@ def cmd_field_map(args):
     rows = [(zs[i], rho[j], grid[i, j])
             for i in range(len(zs)) for j in range(len(rho))]
     write_csv(args.out, ("z", "rho", "relative_intensity"), rows,
-              metadata={"config_sha256": config_hash(raw),
+              metadata={"config_sha256": config_hash(cfg.raw),
                         "component": mp["component"],
                         "failed_points": int(mask.sum())})
     log.info("wrote %s (%d rows)", args.out, len(rows))
@@ -268,10 +270,10 @@ def cmd_field_map(args):
 
 
 def cmd_rate_scan(args):
-    cfg, raw = _load_config(args)
+    cfg = _load_config(args)
     cfg.require("scan_grid")
     quad = _quadrature(args, RATE_QUADRATURE)
-    catalog = _calibrated_catalog(cfg, raw, args, quad)
+    catalog = _calibrated_catalog(cfg, args, quad)
     results = rate_scan(catalog, cfg.dipole, cfg.eta, cfg.scan_grid, quad,
                         threads=args.threads)
     labels = catalog.family_labels
@@ -280,7 +282,7 @@ def cmd_rate_scan(args):
         fam = dict(r.family_totals)
         rows.append((r.z, r.total) + tuple(fam[lab] for lab in labels))
     write_csv(args.out, ("z", "total") + labels, rows,
-              metadata={"config_sha256": config_hash(raw),
+              metadata={"config_sha256": config_hash(cfg.raw),
                         "calibration": catalog.calibration,
                         "n_modes": len(catalog.modes)})
     log.info("wrote %s (%d rows)", args.out, len(rows))
@@ -289,14 +291,14 @@ def cmd_rate_scan(args):
 
 def cmd_mode_table(args):
     _number(args.z, "--z")  # before calibrating, which a bad z would waste
-    cfg, raw = _load_config(args)
+    cfg = _load_config(args)
     quad = _quadrature(args, RATE_QUADRATURE)
-    catalog = _calibrated_catalog(cfg, raw, args, quad)
+    catalog = _calibrated_catalog(cfg, args, quad)
     table = mode_table(catalog, cfg.dipole, cfg.eta, args.z, quad)
     rows = [(t["family"], t["m"], t["kappa"], t["contribution"], t["fraction"])
             for t in table]
     write_csv(args.out, ("family", "m", "kappa", "contribution", "fraction"),
-              rows, metadata={"config_sha256": config_hash(raw),
+              rows, metadata={"config_sha256": config_hash(cfg.raw),
                               "z": args.z,
                               "calibration": catalog.calibration})
     log.info("wrote %s (%d modes)", args.out, len(rows))
@@ -305,16 +307,16 @@ def cmd_mode_table(args):
 
 def cmd_perp_decomposition(args):
     _number(args.z, "--z")
-    cfg, raw = _load_config(args)
+    cfg = _load_config(args)
     quad = _quadrature(args, RATE_QUADRATURE)
-    catalog = _calibrated_catalog(cfg, raw, args, quad)
+    catalog = _calibrated_catalog(cfg, args, quad)
     result = total_rate(catalog, cfg.dipole, cfg.eta, args.z, quad)
     payload = {
         "z": result.z,
         "total": result.total,
         "calibration": result.calibration,
         "families": {lab: sub for lab, sub in result.family_totals},
-        "config_sha256": config_hash(raw),
+        "config_sha256": config_hash(cfg.raw),
     }
     write_json(args.out, payload)
     log.info("wrote %s (total %.6g)", args.out, result.total)
@@ -322,7 +324,7 @@ def cmd_perp_decomposition(args):
 
 
 def cmd_isosurface(args):
-    cfg, raw = _load_config(args)
+    cfg = _load_config(args)
     cfg.require("mode", "map_spec")
     quad = _quadrature(args)
     mp = cfg.map_spec
@@ -331,7 +333,7 @@ def cmd_isosurface(args):
     zs = np.linspace(mp["z_center"] - mp["z_half_span"],
                      mp["z_center"] + mp["z_half_span"], n)
     grid, threshold = isointensity_grid(cfg.mode, args.level, xy, xy, zs, quad)
-    write_npz(args.out, metadata={"config_sha256": config_hash(raw),
+    write_npz(args.out, metadata={"config_sha256": config_hash(cfg.raw),
                                   "level": args.level},
               intensity=grid, x=xy, y=xy, z=zs,
               threshold=np.array(threshold))
@@ -340,7 +342,7 @@ def cmd_isosurface(args):
 
 
 def cmd_validate(args):
-    cfg, raw = _load_config(args)
+    cfg = _load_config(args)
     if cfg.catalog_rule is not None:
         if cfg.ion is None:
             raise ValueError("catalog section requires an ion section")
@@ -363,10 +365,11 @@ def build_parser():
                         help="print bundled preset names and exit")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, out=True):
+    def common(p, out=True, threads=False):
         p.add_argument("--preset", help="bundled configuration name")
         p.add_argument("--config", help="JSON file merged over the preset")
-        p.add_argument("--threads", type=int, default=1)
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--tolerance", type=float, default=None,
                        help="relative quadrature tolerance")
         if out:
@@ -375,13 +378,13 @@ def build_parser():
     p = sub.add_parser("field-map", help="component intensity on a (rho, z) grid")
     common(p)
     p = sub.add_parser("rate-scan", help="calibrated rate versus trap position")
-    common(p)
+    common(p, threads=True)
     p = sub.add_parser("mode-table", help="per-mode contributions at one position")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--z", type=float, default=0.0)
     p = sub.add_parser("perp-decomposition",
                        help="family-resolved totals at one position")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--z", type=float, default=0.0)
     p = sub.add_parser("isosurface", help="3D intensity grid with iso level")
     common(p)

@@ -22,6 +22,8 @@ SIGMAS = (SIGMA_PLUS, SIGMA_MINUS, SIGMA_ZERO)
 E_MODE = "E"
 B_MODE = "B"
 
+DEFAULT_COEFFS = (1.0, -1.0, 0.0)  # (c_+, c_-, c_0): potential along phi-hat
+
 
 def to_dimensionless(x, omega):
     """Convert a length in meters to c/omega units."""
@@ -73,7 +75,7 @@ class ModeParams:
     m: int
     kappa: float
     family: str
-    coeffs: tuple = (1.0, -1.0, 0.0)  # (c_+, c_-, c_0), potential along phi-hat
+    coeffs: tuple = DEFAULT_COEFFS
 
     def __post_init__(self):
         if self.omega <= 0:

@@ -73,7 +73,7 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
 
     def estimate(u, wk, wg):
         s, c = sin_cos_theta(u)
-        a = sign * np.array(u_spectrum(mode, u)) * (s**2 * taper_window(u, cfg))
+        a = sign * np.array(u_spectrum(mode, u)) * (s**2 * taper_window(u))
         w = np.stack((wk, wg))[:, None, :]
         out = np.empty((2, 3, len(z), len(rho)), dtype=complex)
         for r in range(0, len(rho), _BLOCK):
@@ -92,7 +92,7 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     # on its first grid, and a graded one was no faster (run_s 0.254-0.269 s
     # against 0.250-0.263 s uniform, 3 alternating pairs, 2-core VM)
     return refine(estimate, oscillation_count(mode.kappa, np.abs(z).max(),
-                                              rho.max(), cfg), cfg)[0]
+                                              rho.max()), cfg)[0]
 
 
 def field_at_point(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE):

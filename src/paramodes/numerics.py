@@ -4,8 +4,9 @@ The angular integrals use the substitution u = ln tan(theta_k/2), which maps
 theta_k in (0, pi) to the real line, turns the kappa phase into a plain
 exponential e^{-2 i kappa u}, and gives sin(theta_k) = sech(u),
 cos(theta_k) = -tanh(u), d(theta_k) = sech(u) du.  The window is truncated
-at |u| <= U with a raised-cosine taper; endpoint oscillations the taper
-removes are unobservable downstream (trap Gaussians regularize them).
+at |u| <= WINDOW with a raised-cosine taper over its outer TAPER_FRACTION;
+endpoint oscillations the taper removes are unobservable downstream (trap
+Gaussians regularize them).
 
 Integration is composite 15-point Kronrod with the embedded 7-point Gauss
 rule as error estimate.  The initial panel count scales with the phase
@@ -16,8 +17,15 @@ jumps, and a trap phase z cos(theta) grades the panels toward u = 0, where
 its oscillations crowd.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import special as _sp
+
+# |u| <= WINDOW, tapered from the knees +-KNEE = +-9.600000000000001 (not 9.6)
+WINDOW = 12.0
+TAPER_FRACTION = 0.2
+KNEE = (1.0 - TAPER_FRACTION) * WINDOW
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights; standard QUADPACK dqk15 constants.
@@ -59,32 +67,23 @@ class QuadratureError(RuntimeError):
         self.residual = residual
 
 
+@dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and window parameters for the angular quadratures."""
+    """Tolerance and panel counts of the angular quadratures."""
 
-    def __init__(self, rel_tol=1e-9, max_refinements=8, window=12.0,
-                 taper_fraction=0.2, panels_per_oscillation=10.0,
-                 min_panels=24):
-        if not 0 < rel_tol <= 1e-2:
+    rel_tol: float = 1e-9
+    max_refinements: int = 8
+    panels_per_oscillation: float = 10.0
+    min_panels: int = 24
+
+    def __post_init__(self):
+        if not 0 < self.rel_tol <= 1e-2:
             raise ValueError("rel_tol must lie in (0, 1e-2]")
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if max_refinements < 0:
+        if self.max_refinements < 0:
             raise ValueError("max_refinements must be nonnegative")
-        self.rel_tol = float(rel_tol)
-        self.max_refinements = int(max_refinements)
-        self.window = float(window)
-        self.taper_fraction = float(taper_fraction)
-        self.panels_per_oscillation = float(panels_per_oscillation)
-        self.min_panels = int(min_panels)
-
-    def replace(self, **kw):
-        d = dict(rel_tol=self.rel_tol, max_refinements=self.max_refinements,
-                 window=self.window, taper_fraction=self.taper_fraction,
-                 panels_per_oscillation=self.panels_per_oscillation,
-                 min_panels=self.min_panels)
-        d.update(kw)
-        return QuadratureConfig(**d)
+        if self.min_panels < 3:
+            raise ValueError("min_panels must be >= 3: a panel per taper "
+                             "and one between the knees")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -102,17 +101,17 @@ def panel_nodes(n_panels, a, b):
 
 
 def window_nodes(n_panels, cfg=DEFAULT_QUADRATURE, z=0.0, n_oscillations=0.0):
-    """Composite K15 nodes and (Kronrod, Gauss) weights over |u| <= window,
-    with panel edges on the taper knees +-(1 - taper_fraction) W, where the
-    taper's second derivative jumps, so no panel straddles a knee.
+    """Composite K15 nodes and (Kronrod, Gauss) weights over |u| <= WINDOW,
+    with panel edges on the taper knees +-KNEE, where the taper's second
+    derivative jumps, so no panel straddles a knee; n_panels >= 3.
 
     For z = 0 the n_panels panels are shared between the two taper segments
     and the flat middle in proportion to their lengths; for n_panels a
-    multiple of 10 (at the default taper_fraction 0.2) that is the uniform
-    grid.  A nonzero trap-phase amplitude z grades them: the phase
-    z tanh u oscillates at the local rate |z| sech^2 u, so its 2|z|/2pi
-    oscillations crowd near u = 0, while the rest of n_oscillations (the
-    kappa and rho phases) spread evenly.  Segments then get panels in
+    multiple of 10 that is the uniform grid.  A nonzero trap-phase
+    amplitude z grades them: the phase z tanh u oscillates at the local
+    rate |z| sech^2 u, so its 2|z|/2pi oscillations crowd near u = 0, while
+    the rest of n_oscillations (the kappa and rho phases) spread evenly.
+    Segments then get panels in
     proportion to the increase of (ppo = panels_per_oscillation)
 
         G(u) = (ppo rest + min_panels) u / (2W) + ppo |z| tanh(u) / 2pi,
@@ -120,12 +119,9 @@ def window_nodes(n_panels, cfg=DEFAULT_QUADRATURE, z=0.0, n_oscillations=0.0):
 
     and inside each segment the edges equidistribute G.
     """
-    W = cfg.window
-    knee = (1.0 - cfg.taper_fraction) * W
-    if not 0.0 < knee < W or n_panels < 3:
-        return panel_nodes(n_panels, -W, W)
+    W, knee = WINDOW, KNEE
     if z == 0:
-        n_taper = min(max(1, round(n_panels * cfg.taper_fraction / 2)),
+        n_taper = min(max(1, round(n_panels * TAPER_FRACTION / 2)),
                       (n_panels - 1) // 2)
         parts = [panel_nodes(n, a, b) for n, a, b in (
             (n_taper, -W, -knee), (n_panels - 2 * n_taper, -knee, knee),
@@ -165,22 +161,20 @@ def window_nodes(n_panels, cfg=DEFAULT_QUADRATURE, z=0.0, n_oscillations=0.0):
             (half * _WG15).ravel())
 
 
-def taper_window(u, cfg=DEFAULT_QUADRATURE):
-    """Raised-cosine roll-off over the outer taper_fraction of |u| <= window."""
-    U = cfg.window
-    a = (1.0 - cfg.taper_fraction) * U
+def taper_window(u):
+    """Raised-cosine roll-off over the outer TAPER_FRACTION of |u| <= WINDOW."""
     t = np.ones_like(u)
-    mask = np.abs(u) > a
-    t[mask] = 0.5 * (1 + np.cos(np.pi * (np.abs(u[mask]) - a) / (U - a)))
-    t[np.abs(u) >= U] = 0.0
+    mask = np.abs(u) > KNEE
+    t[mask] = 0.5 * (1 + np.cos(np.pi * (np.abs(u[mask]) - KNEE)
+                                / (WINDOW - KNEE)))
+    t[np.abs(u) >= WINDOW] = 0.0
     return t
 
 
-def oscillation_count(kappa, z, rho, cfg=DEFAULT_QUADRATURE):
+def oscillation_count(kappa, z, rho):
     """Oscillations of the phase -2 kappa u + z cos(theta) + rho sin(theta)
-    over |u| <= window: the one rule that sizes every first grid."""
-    return (2 * abs(z) + 2 * abs(rho) + 4 * abs(kappa) * cfg.window) \
-        / (2 * np.pi)
+    over |u| <= WINDOW: the one rule that sizes every first grid."""
+    return (2 * abs(z) + 2 * abs(rho) + 4 * abs(kappa) * WINDOW) / (2 * np.pi)
 
 
 def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):

@@ -133,14 +133,14 @@ def field_2d_oracle(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE,
     if n_phi is None:
         n_phi = int(64 + 8 * np.ceil(rho + abs(mode.m) + 2))
     phik = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
-    nosc = oscillation_count(mode.kappa, z, rho, cfg)
+    nosc = oscillation_count(mode.kappa, z, rho)
 
     def values(u):
         s, c = sin_cos_theta(u)
         theta = theta_from_u(u)
         f = mode_spectrum(mode, theta[None, :], phik[:, None])  # (3, nphi, nu)
         kdotr = rho * s[None, :] * np.cos(phik[:, None] - phi) + z * c[None, :]
-        w = s[None, :] ** 2 * taper_window(u, cfg)[None, :]
+        w = s[None, :] ** 2 * taper_window(u)[None, :]
         integrand = f * (np.exp(1j * kdotr) * w)[None, :, :]
         return integrand.sum(axis=1) * (2 * np.pi / n_phi)
 
@@ -220,7 +220,7 @@ def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
         s, c = sin_cos_theta(u)
         # conjugate side of the quadratic form supplies e^{-iZc}
         v = s**2 * u_spectrum(mode, u)[SIGMAS.index(sigma)] \
-            * taper_window(u, cfg) * np.exp(1j * z_center * c)
+            * taper_window(u) * np.exp(1j * z_center * c)
         dz = c[:, None] - c[None, :]
         kernel = np.exp(-eta.eta_z**2 * dz**2 / 2.0) \
             * np.exp(-eta.eta_x**2 * (s[:, None]**2 + s[None, :]**2) / 2.0) \
@@ -233,8 +233,7 @@ def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
                 f"pair kernel lost positivity: {t_k} vs scale {ref}")
         return t_k, t_g
 
-    t, _ = refine(estimate, oscillation_count(mode.kappa, z_center, 0.0, cfg),
-                  cfg)
+    t, _ = refine(estimate, oscillation_count(mode.kappa, z_center, 0.0), cfg)
     if t < 0.0:
         warnings.warn("clamping small negative pair-kernel quadrature result")
         t = 0.0
@@ -275,7 +274,7 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
         ky = s[:, None] * np.sin(phik)[None, :]
         kz = c[:, None] * np.ones((1, n_phi))
         base = (s**2 * np.conj(u_spectrum(mode, u)[SIGMAS.index(sigma)])
-                * taper_window(u, cfg))[:, None] \
+                * taper_window(u))[:, None] \
             * np.exp(-1j * n * phik)[None, :] / (2 * np.pi) \
             * np.exp(-1j * (kx * x0 + ky * y0 + kz * z0)) \
             * np.exp(-(ex**2 * kx**2 + ey**2 * ky**2 + ez**2 * kz**2) / 2.0) \
@@ -284,5 +283,5 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
                       for px, py, pz in combos])
         return (float(gam @ (np.abs(b @ w) ** 2)) for w in (wk, wg))
 
-    return refine(estimate, oscillation_count(mode.kappa, z0, np.hypot(x0, y0),
-                                              cfg), cfg)[0]
+    return refine(estimate, oscillation_count(mode.kappa, z0, np.hypot(x0, y0)),
+                  cfg)[0]

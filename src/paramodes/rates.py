@@ -30,7 +30,8 @@ from threading import Lock
 import numpy as np
 from scipy.special import gammaln
 
-from .core import ModeParams, DipoleSpec, SIGMAS, HBAR, C_LIGHT, EPS0
+from .core import (ModeParams, DipoleSpec, SIGMAS, HBAR, C_LIGHT, EPS0,
+                   DEFAULT_COEFFS)
 from .trap import LambDicke
 from .spectrum import unit_spectra
 from .numerics import (
@@ -40,7 +41,7 @@ from .numerics import (
 
 # The rate entry points start at 2 panels per oscillation, and refine()
 # doubles the grid where that falls short; fields keep the default 10.
-RATE_QUADRATURE = DEFAULT_QUADRATURE.replace(panels_per_oscillation=2.0)
+RATE_QUADRATURE = replace(DEFAULT_QUADRATURE, panels_per_oscillation=2.0)
 
 
 def family_label(family, m):
@@ -138,7 +139,7 @@ def build_catalog(rule, omega):
       weight:   optional focal emphasis {"amplitude": A, "width": w};
                 multiplies each mode's rate by 1 + A exp(-(kappa/w)^2),
                 applied as sqrt on the coefficient triple
-      coeffs:   optional coefficient triple, default (1, -1, 0)
+      coeffs:   optional coefficient triple, default core.DEFAULT_COEFFS
     """
     labels = rule.get("families")
     if not labels:
@@ -171,7 +172,7 @@ def build_catalog(rule, omega):
     if not (np.isfinite(width) and width > 0.0):
         raise ValueError(f"catalog.weight.width must be finite and > 0, "
                          f"got {width!r}")
-    coeffs = tuple(complex(c) for c in rule.get("coeffs", (1.0, -1.0, 0.0)))
+    coeffs = tuple(complex(c) for c in rule.get("coeffs", DEFAULT_COEFFS))
     modes = []
     for fam, m in pairs:
         for kappa in kappas:
@@ -307,7 +308,7 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
         w = np.stack((wk, wg))[:, None, :]
         kappa_phase = np.exp(2j * np.multiply.outer(kappas, u))
         unit = {fam: np.conj(unit_spectra(fam, s, c)) for fam in families}
-        base = s**2 * taper_window(u, cfg) \
+        base = s**2 * taper_window(u) \
             * np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
         c_pow = np.vander(c, deg + 1, increasing=True)
         s_pow = np.vander(s, deg + 1, increasing=True)
@@ -350,8 +351,7 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
 
     kmax = float(np.abs(kappas).max())
     zmax = float(np.abs(z_values).max(initial=0.0))
-    return refine(estimate, oscillation_count(kmax, zmax, 0.0, cfg), cfg,
-                  zmax)[0]
+    return refine(estimate, oscillation_count(kmax, zmax, 0.0), cfg, zmax)[0]
 
 
 def mode_contribution(mode, sigma, eta: LambDicke, z_center,

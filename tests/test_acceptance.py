@@ -4,6 +4,8 @@ Run with `pytest -v tests/test_acceptance.py` to get the per-criterion lines.
 Shared fixtures keep the expensive catalog calibrations to one per session.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import ai_zeros
@@ -293,7 +295,7 @@ def test_criterion_10_property_suite(ybii_eta, dipole_axial, dipole_transverse,
     # against rel_tol = 1e-12, which keeps more series terms, at a near and
     # a calibration-window trap center
     mode = ModeParams(omega=1.0, m=1, kappa=-0.8, family="B")
-    tight = RATE_QUADRATURE.replace(rel_tol=1e-12)
+    tight = replace(RATE_QUADRATURE, rel_tol=1e-12)
     conv = max(abs(a - b) / b for a, b in (
         (mode_contribution(mode, 1, ybii_eta, z),
          mode_contribution(mode, 1, ybii_eta, z, tight)) for z in (4.0, 140.0)))

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -77,6 +78,16 @@ def test_validate_rejects_bad_scan(tmp_path, capsys):
     (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_iso=100_000)), "n_iso"),
     (_merge(load_preset("ybII"), {"trap": {"axial_khz": 1e-9}}),
      "trap too soft"),
+    # int entries are not truncated, and JSON booleans are not numbers
+    (dict(TINY_MAP, mode=dict(TINY_MAP["mode"], m=1.5)),
+     "mode.m must be an integer, got 1.5"),
+    (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_rho=3.9)),
+     "map.n_rho must be an integer, got 3.9"),
+    (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_z=True)),
+     "map.n_z must be a finite number, got True"),
+    (dict(TINY_RATE, ion=dict(TINY_RATE["ion"], mass_amu=True)),
+     "ion.mass_amu must be a finite number, got True"),
+    (dict(TINY_RATE, dipole=[0.0, False, 1.0]), "dipole must be a finite number"),
 ])
 def test_malformed_config_is_named_failure(tmp_path, capsys, payload, named):
     cfg = _write(tmp_path, "bad.json", payload)
@@ -88,6 +99,35 @@ def test_malformed_config_is_named_failure(tmp_path, capsys, payload, named):
         assert main(["rate-scan", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+
+def test_tolerance_reaches_the_rate_quadrature(caplog, capsys):
+    caplog.set_level(logging.INFO, logger="paramodes")
+
+    def series_terms(argv):
+        caplog.clear()
+        assert main(argv) == 0
+        return [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("rate series terms")]
+
+    default = series_terms(["validate", "--preset", "ybII"])
+    loose = series_terms(["validate", "--preset", "ybII", "--tolerance", "1e-3"])
+    assert len(default) == len(loose) == 1 and default != loose
+    capsys.readouterr()
+    assert main(["validate", "--preset", "ybII", "--tolerance", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert "rel_tol" in err and "Traceback" not in err
+
+
+def test_threads_only_on_commands_that_read_it():
+    parser = build_parser()
+    for command in ("rate-scan", "mode-table", "perp-decomposition"):
+        args = parser.parse_args([command, "--out", "x", "--threads", "2"])
+        assert args.threads == 2
+    for argv in (["field-map", "--out", "x"], ["isosurface", "--out", "x"],
+                 ["validate"]):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv + ["--threads", "2"])
 
 
 def test_oracles_stay_out_of_production_imports():
@@ -104,7 +144,7 @@ def test_config_overlay_merges_into_preset_sections(tmp_path):
     cfg = _write(tmp_path, "axial.json", {"trap": {"axial_khz": 500.0}})
     argv = ["validate", "--preset", "ybII", "--config", cfg]
     assert main(argv) == 0
-    merged, _ = _load_config(build_parser().parse_args(argv))
+    merged = _load_config(build_parser().parse_args(argv))
     preset = RunConfig.from_dict(load_preset("ybII"))
     assert merged.eta.eta_x == preset.eta.eta_x
     assert merged.eta.eta_z != preset.eta.eta_z

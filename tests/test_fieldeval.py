@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_axis_scan_consistent_with_pointwise():
         assert val == pytest.approx(point, rel=1e-10)
     # the map's channels and metric against pointwise samples; min_panels
     # puts every call on one grid, so only the kernel's assembly differs
-    cfg = DEFAULT_QUADRATURE.replace(min_panels=240)
+    cfg = replace(DEFAULT_QUADRATURE, min_panels=240)
     mode = ModeParams(omega=1.0, m=1, kappa=-0.64, family="E")
     rho, zs = np.array([0.0, 0.6, 1.3]), np.array([-1.0, 0.4, 1.5])
     grid, mask = intensity_map(mode, "total", rho, zs, cfg)
@@ -112,8 +114,8 @@ def test_fig1e_axis_scan_converged():
     zs = np.linspace(mp["z_center"] - mp["z_half_span"],
                      mp["z_center"] + mp["z_half_span"], mp["n_z"])
     got = axis_intensity_scan(mode, zs)
-    ref = axis_intensity_scan(mode, zs, DEFAULT_QUADRATURE.replace(
-        panels_per_oscillation=40.0, rel_tol=1e-11))
+    ref = axis_intensity_scan(mode, zs, replace(
+        DEFAULT_QUADRATURE, panels_per_oscillation=40.0, rel_tol=1e-11))
     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(ref)
 
 
@@ -189,8 +191,8 @@ def test_isointensity_grid_threshold():
 
 
 def test_intensity_map_failure_masks_whole_grid():
-    cfg = DEFAULT_QUADRATURE.replace(max_refinements=0,
-                                     panels_per_oscillation=0.1)
+    cfg = replace(DEFAULT_QUADRATURE, max_refinements=0,
+                  panels_per_oscillation=0.1)
     mode = ModeParams(omega=1.0, m=0, kappa=-10.4, family="E")
     grid, mask = intensity_map(mode, "total", np.linspace(0.0, 2.0, 3),
                                np.linspace(18.0, 24.0, 4), cfg)

@@ -1,11 +1,13 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy.special import jv
 
 from paramodes.numerics import (
-    QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE,
-    panel_nodes, window_nodes, taper_window, sin_cos_theta, theta_from_u,
-    bessel_j, oscillation_count,
+    QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE, WINDOW,
+    TAPER_FRACTION, KNEE, panel_nodes, window_nodes, taper_window,
+    sin_cos_theta, theta_from_u, bessel_j, oscillation_count,
 )
 from paramodes.oracles import (
     integrate_adaptive, u_from_theta, bessel_i, bessel_j_series,
@@ -42,7 +44,7 @@ def test_oscillatory_closed_form():
 
 
 def test_adaptive_refinement_reaches_tolerance():
-    cfg = DEFAULT_QUADRATURE.replace(min_panels=4, panels_per_oscillation=2.0)
+    cfg = replace(DEFAULT_QUADRATURE, min_panels=4, panels_per_oscillation=2.0)
 
     def values(u):
         return np.cos(5.0 * u) * np.exp(-u**2)
@@ -58,8 +60,8 @@ def test_adaptive_refinement_reaches_tolerance():
 
 
 def test_quadrature_failure_raises_with_residual():
-    cfg = DEFAULT_QUADRATURE.replace(min_panels=2, panels_per_oscillation=0.1,
-                                     max_refinements=0)
+    cfg = replace(DEFAULT_QUADRATURE, min_panels=3, panels_per_oscillation=0.1,
+                  max_refinements=0)
 
     def values(u):
         return np.cos(200.0 * u)
@@ -69,41 +71,37 @@ def test_quadrature_failure_raises_with_residual():
 
 
 def test_window_nodes_put_edges_on_taper_knees():
-    cfg = DEFAULT_QUADRATURE
-    knee = (1.0 - cfg.taper_fraction) * cfg.window
     for n_panels in (24, 92, 97, 100, 301):
-        u, wk, wg = window_nodes(n_panels, cfg)
+        u, wk, wg = window_nodes(n_panels)
         assert len(u) == len(wk) == len(wg) == 15 * n_panels
-        assert float(wk.sum()) == pytest.approx(2 * cfg.window, rel=1e-14)
+        assert float(wk.sum()) == pytest.approx(2 * WINDOW, rel=1e-14)
         panels = u.reshape(n_panels, 15)
-        for edge in (-knee, knee):
+        for edge in (-KNEE, KNEE):
             assert np.all((panels.max(axis=1) < edge)
                           | (panels.min(axis=1) > edge))
     # a multiple of ten panels is the uniform grid
-    for got, want in zip(window_nodes(100, cfg),
-                         panel_nodes(100, -cfg.window, cfg.window)):
+    for got, want in zip(window_nodes(100), panel_nodes(100, -WINDOW, WINDOW)):
         assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 def _first_grid(kappa, z, cfg):
     """(n_panels, n_oscillations) of refine's first grid for a rate phase."""
-    nosc = oscillation_count(kappa, z, 0.0, cfg)
+    nosc = oscillation_count(kappa, z, 0.0)
     return max(cfg.min_panels,
                int(np.ceil(nosc * cfg.panels_per_oscillation))), nosc
 
 
 def test_graded_window_nodes_put_edges_on_taper_knees():
-    cfg = DEFAULT_QUADRATURE.replace(panels_per_oscillation=2.0)
-    knee = (1.0 - cfg.taper_fraction) * cfg.window
+    cfg = replace(DEFAULT_QUADRATURE, panels_per_oscillation=2.0)
     for kappa, z in ((0.0, 3.0), (0.0, 160.0), (5.6, -40.0), (21.0, 140.0)):
         n_first, nosc = _first_grid(kappa, z, cfg)
         for n_panels in (n_first, 2 * n_first, 97):
             u, wk, wg = window_nodes(n_panels, cfg, z, nosc)
             assert len(u) == len(wk) == len(wg) == 15 * n_panels
-            assert abs(float(wk.sum()) - 2 * cfg.window) <= 1e-14 * cfg.window
+            assert abs(float(wk.sum()) - 2 * WINDOW) <= 1e-14 * WINDOW
             panels = u.reshape(n_panels, 15)
             assert np.all(np.diff(u) > 0.0)
-            for edge in (-knee, knee):
+            for edge in (-KNEE, KNEE):
                 assert np.all((panels.max(axis=1) < edge)
                               | (panels.min(axis=1) > edge))
             # the trap phase crowds the panels toward u = 0
@@ -112,43 +110,43 @@ def test_graded_window_nodes_put_edges_on_taper_knees():
 
 
 def test_window_nodes_at_zero_z_are_the_knee_aligned_rule():
-    cfg = DEFAULT_QUADRATURE
-    W, knee = cfg.window, (1.0 - cfg.taper_fraction) * cfg.window
+    # the knee is computed, not the literal 9.6, which would move every edge
+    W, knee = 12.0, (1.0 - 0.2) * 12.0
+    assert (WINDOW, TAPER_FRACTION, KNEE) == (W, 0.2, knee) and knee != 9.6
     for n_panels in (24, 25, 92, 97, 100, 301):
-        n_taper = min(max(1, round(n_panels * cfg.taper_fraction / 2)),
+        n_taper = min(max(1, round(n_panels * 0.2 / 2)),
                       (n_panels - 1) // 2)
         parts = [panel_nodes(n, a, b) for n, a, b in (
             (n_taper, -W, -knee), (n_panels - 2 * n_taper, -knee, knee),
             (n_taper, knee, W))]
         want = [np.concatenate(arrays) for arrays in zip(*parts)]
-        for got in (window_nodes(n_panels, cfg),
-                    window_nodes(n_panels, cfg, 0.0, 40.0)):
+        for got in (window_nodes(n_panels),
+                    window_nodes(n_panels, DEFAULT_QUADRATURE, 0.0, 40.0)):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
 
 def test_graded_first_grid_resolves_the_trap_phase():
     # Int sech^2(u) e^{i z tanh u} du over |u| <= W = 2 sin(z tanh W) / z
-    cfg = DEFAULT_QUADRATURE.replace(panels_per_oscillation=2.0)
+    cfg = replace(DEFAULT_QUADRATURE, panels_per_oscillation=2.0)
     z = 160.0
-    want = 2.0 * np.sin(z * np.tanh(cfg.window)) / z
+    want = 2.0 * np.sin(z * np.tanh(WINDOW)) / z
     n_panels, nosc = _first_grid(0.0, z, cfg)
 
     def error(u, wk, wg):
         return abs(complex(np.cosh(u) ** -2 * np.exp(1j * z * np.tanh(u)) @ wk)
                    - want)
     assert error(*window_nodes(n_panels, cfg, z, nosc)) <= 1e-12
-    assert error(*window_nodes(n_panels, cfg)) > 1e-6
+    assert error(*window_nodes(n_panels)) > 1e-6
 
 
 def test_taper_window_shape():
-    cfg = DEFAULT_QUADRATURE
     u = np.array([0.0, 5.0, 9.6, 10.8, 12.0, 13.0])
-    t = taper_window(u, cfg)
+    t = taper_window(u)
     assert t[0] == 1.0 and t[1] == 1.0 and t[2] == 1.0
     assert 0.0 < t[3] < 1.0
     assert t[4] == 0.0 and t[5] == 0.0
-    assert np.all(taper_window(-u, cfg) == t)
+    assert np.all(taper_window(-u) == t)
 
 
 def test_angle_substitution_round_trip():
@@ -183,6 +181,12 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.5)
     with pytest.raises(ValueError):
         QuadratureConfig(max_refinements=-1)
-    cfg = DEFAULT_QUADRATURE.replace(rel_tol=1e-6)
+    with pytest.raises(ValueError, match="min_panels"):
+        QuadratureConfig(min_panels=2)
+    with pytest.raises(ValueError, match="min_panels"):
+        replace(DEFAULT_QUADRATURE, min_panels=2)
+    cfg = replace(DEFAULT_QUADRATURE, rel_tol=1e-6)
     assert cfg.rel_tol == 1e-6
-    assert cfg.window == DEFAULT_QUADRATURE.window
+    assert cfg.min_panels == DEFAULT_QUADRATURE.min_panels
+    assert [f.name for f in fields(QuadratureConfig)] == [
+        "rel_tol", "max_refinements", "panels_per_oscillation", "min_panels"]

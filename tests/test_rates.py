@@ -1,6 +1,7 @@
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,8 +140,8 @@ def test_engine_paths_agree_for_general_coefficients(ybii_eta):
 
 
 def test_rate_paths_raise_when_refinement_is_exhausted(ybii_eta):
-    cfg = DEFAULT_QUADRATURE.replace(max_refinements=0,
-                                     panels_per_oscillation=0.1)
+    cfg = replace(DEFAULT_QUADRATURE, max_refinements=0,
+                  panels_per_oscillation=0.1)
     mode = ModeParams(omega=1.0, m=0, kappa=5.6, family="E")
     eta_xyz = (ybii_eta.eta_x, ybii_eta.eta_y, ybii_eta.eta_z)
     for path in (
@@ -180,7 +181,7 @@ def test_contributions_are_positive(ybii_eta):
 def test_series_order_convergence(ybii_eta):
     # rel_tol = 1e-12 keeps more series terms; z = 140 is in the
     # calibration window, where the rates are smallest
-    tight = RATE_QUADRATURE.replace(rel_tol=1e-12)
+    tight = replace(RATE_QUADRATURE, rel_tol=1e-12)
     assert len(_series_terms(0, ybii_eta.eta_x, ybii_eta.eta_z, 1e-12)) \
         > len(_series_terms(0, ybii_eta.eta_x, ybii_eta.eta_z,
                             RATE_QUADRATURE.rel_tol))
@@ -260,8 +261,8 @@ def test_rate_scan_deterministic_across_threads(ybii_eta, dipole_axial,
 def test_total_rate_single_z_accuracy(ybii_eta, dipole_transverse):
     # the default grid against the same engine converged far past it
     cat = build_catalog(MIXED_RULE, omega=1.0)
-    converged = DEFAULT_QUADRATURE.replace(panels_per_oscillation=40.0,
-                                           rel_tol=1e-12)
+    converged = replace(DEFAULT_QUADRATURE, panels_per_oscillation=40.0,
+                        rel_tol=1e-12)
     for z in (-40.0, -11.2, 0.0, 3.7, 140.0):
         got = total_rate(cat, dipole_transverse, ybii_eta, z)
         ref = total_rate(cat, dipole_transverse, ybii_eta, z, converged)

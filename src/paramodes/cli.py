@@ -18,8 +18,7 @@ from .core import (
 )
 from .trap import LambDicke
 from .rates import (
-    RATE_QUADRATURE, build_catalog, calibrate, rate_scan, total_rate, mode_table,
-    series_rows,
+    build_catalog, calibrate, rate_scan, total_rate, mode_table, series_rows,
 )
 from .fieldeval import intensity_map, isointensity_grid
 from .numerics import DEFAULT_QUADRATURE, QuadratureError
@@ -37,13 +36,15 @@ class UsageError(Exception):
 
 
 def _number(value, what, kind=float):
-    """kind(value) of one configuration entry, a finite number (not a bool)
-    and integral for kind int; a named ValueError otherwise."""
+    """kind(value) of one configuration entry, a finite number (not a bool,
+    nor a string unless kind is complex, as in "1+2j") and integral for
+    kind int; a named ValueError otherwise."""
     try:
         out = complex(value) if kind is complex else float(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or isinstance(value, bool) or not np.isfinite(out):
+    if out is None or isinstance(value, bool) or not np.isfinite(out) \
+            or (isinstance(value, str) and kind is not complex):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
     if kind is int and not out.is_integer():
         raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -226,11 +227,11 @@ def _load_config(args):
     return RunConfig.from_dict(raw)
 
 
-def _quadrature(args, cfg=DEFAULT_QUADRATURE):
-    """cfg, the field or the rate quadrature, with --tolerance applied."""
-    if args.tolerance is not None:
-        cfg = replace(cfg, rel_tol=args.tolerance)
-    return cfg
+def _quadrature(args):
+    """The quadrature configuration with --tolerance applied."""
+    if args.tolerance is None:
+        return DEFAULT_QUADRATURE
+    return replace(DEFAULT_QUADRATURE, rel_tol=args.tolerance)
 
 
 def _calibrated_catalog(cfg, args, quad):
@@ -272,7 +273,7 @@ def cmd_field_map(args):
 def cmd_rate_scan(args):
     cfg = _load_config(args)
     cfg.require("scan_grid")
-    quad = _quadrature(args, RATE_QUADRATURE)
+    quad = _quadrature(args)
     catalog = _calibrated_catalog(cfg, args, quad)
     results = rate_scan(catalog, cfg.dipole, cfg.eta, cfg.scan_grid, quad,
                         threads=args.threads)
@@ -292,7 +293,7 @@ def cmd_rate_scan(args):
 def cmd_mode_table(args):
     _number(args.z, "--z")  # before calibrating, which a bad z would waste
     cfg = _load_config(args)
-    quad = _quadrature(args, RATE_QUADRATURE)
+    quad = _quadrature(args)
     catalog = _calibrated_catalog(cfg, args, quad)
     table = mode_table(catalog, cfg.dipole, cfg.eta, args.z, quad)
     rows = [(t["family"], t["m"], t["kappa"], t["contribution"], t["fraction"])
@@ -308,7 +309,7 @@ def cmd_mode_table(args):
 def cmd_perp_decomposition(args):
     _number(args.z, "--z")
     cfg = _load_config(args)
-    quad = _quadrature(args, RATE_QUADRATURE)
+    quad = _quadrature(args)
     catalog = _calibrated_catalog(cfg, args, quad)
     result = total_rate(catalog, cfg.dipole, cfg.eta, args.z, quad)
     payload = {
@@ -351,8 +352,7 @@ def cmd_validate(args):
                  ", ".join(catalog.family_labels))
         if cfg.dipole is not None and cfg.eta is not None:
             log.info("rate series terms per winding |m - sigma|: %s",
-                     series_rows(catalog, cfg.dipole, cfg.eta,
-                                 _quadrature(args, RATE_QUADRATURE)))
+                     series_rows(catalog, cfg.dipole, cfg.eta, _quadrature(args)))
     print("configuration ok")
     return 0
 

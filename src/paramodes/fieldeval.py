@@ -61,11 +61,12 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     """The field kernel: reduced integrals of the three sigma channels,
     shape (3, n_z, n_rho) in SIGMAS order, without the winding phase.
 
-    One refine() over the whole request, sized by max|z| and max rho, with
-    one convergence scale per sigma channel.  Each grid builds the spectrum
-    once and one J_|n|(rho s) table per distinct |n| (J_{-n} = (-1)^n J_n),
-    in tiles of _BLOCK rho and z values.  The node sums run in einsum, not
-    in threaded BLAS, so the bits do not depend on the BLAS thread count.
+    One refine() over the whole request, sized by max|z| and max rho and
+    graded by max|z|, with one convergence scale per sigma channel.  Each
+    grid builds the spectrum once and one J_|n|(rho s) table per distinct
+    |n| (J_{-n} = (-1)^n J_n), in tiles of _BLOCK rho and z values.  The
+    node sums run in einsum, not in threaded BLAS, so the bits do not
+    depend on the BLAS thread count.
     """
     rho, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (rho, z))
     ns = [mode.m - sigma for sigma in SIGMAS]
@@ -88,11 +89,9 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
                                               optimize=False)
         return out[0], out[1]
 
-    # uniform panels (z = 0 to refine): every field-figures grid converges
-    # on its first grid, and a graded one was no faster (run_s 0.254-0.269 s
-    # against 0.250-0.263 s uniform, 3 alternating pairs, 2-core VM)
-    return refine(estimate, oscillation_count(mode.kappa, np.abs(z).max(),
-                                              rho.max()), cfg)[0]
+    zmax = float(np.abs(z).max())
+    return refine(estimate, oscillation_count(mode.kappa, zmax, rho.max()),
+                  cfg, zmax)[0]
 
 
 def field_at_point(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE):
@@ -137,7 +136,7 @@ def stationary_phase_prefactor(kappa, z):
     return np.sqrt(np.pi / (abs(z) * np.sqrt(1.0 + 2.0 * kappa / z)))
 
 
-def stationary_phase_field(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE):
+def stationary_phase_field(mode: ModeParams, position):
     """Two-branch stationary-phase estimate of the field at (rho, phi, z).
 
     Sums the interior stationary angles theta_sp and pi - theta_sp of the

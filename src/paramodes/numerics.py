@@ -9,12 +9,12 @@ endpoint oscillations the taper removes are unobservable downstream (trap
 Gaussians regularize them).
 
 Integration is composite 15-point Kronrod with the embedded 7-point Gauss
-rule as error estimate.  The initial panel count scales with the phase
-oscillation count; refinement doubles the panel count globally, which keeps
-results deterministic and vectorizes over many integrands at once.  Panel
-edges always fall on the taper knees, where the taper's second derivative
-jumps, and a trap phase z cos(theta) grades the panels toward u = 0, where
-its oscillations crowd.
+rule as error estimate.  The initial panel count is PANELS_PER_OSCILLATION
+times the phase oscillation count; refinement doubles the panel count
+globally, which keeps results deterministic and vectorizes over many
+integrands at once.  Panel edges always fall on the taper knees, where the
+taper's second derivative jumps, and the axial phase z cos(theta) of a
+field or a rate grades the panels toward u = 0, where its oscillations crowd.
 """
 
 from dataclasses import dataclass
@@ -26,6 +26,8 @@ from scipy import special as _sp
 WINDOW = 12.0
 TAPER_FRACTION = 0.2
 KNEE = (1.0 - TAPER_FRACTION) * WINDOW
+# first-grid panels per phase oscillation; refine() doubles them as needed
+PANELS_PER_OSCILLATION = 2.0
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights; standard QUADPACK dqk15 constants.
@@ -73,7 +75,6 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-9
     max_refinements: int = 8
-    panels_per_oscillation: float = 10.0
     min_panels: int = 24
 
     def __post_init__(self):
@@ -107,12 +108,12 @@ def window_nodes(n_panels, cfg=DEFAULT_QUADRATURE, z=0.0, n_oscillations=0.0):
 
     For z = 0 the n_panels panels are shared between the two taper segments
     and the flat middle in proportion to their lengths; for n_panels a
-    multiple of 10 that is the uniform grid.  A nonzero trap-phase
-    amplitude z grades them: the phase z tanh u oscillates at the local
-    rate |z| sech^2 u, so its 2|z|/2pi oscillations crowd near u = 0, while
-    the rest of n_oscillations (the kappa and rho phases) spread evenly.
-    Segments then get panels in
-    proportion to the increase of (ppo = panels_per_oscillation)
+    multiple of 10 that is the uniform grid.  A nonzero axial-phase
+    amplitude z (a rate's trap center, a field point's height) grades them:
+    the phase z tanh u oscillates at the local rate |z| sech^2 u, so its
+    2|z|/2pi oscillations crowd near u = 0, while the rest of n_oscillations
+    (the kappa and rho phases) spread evenly.  Segments then get panels in
+    proportion to the increase of (ppo = PANELS_PER_OSCILLATION)
 
         G(u) = (ppo rest + min_panels) u / (2W) + ppo |z| tanh(u) / 2pi,
         rest = n_oscillations - |z| / pi,
@@ -128,7 +129,7 @@ def window_nodes(n_panels, cfg=DEFAULT_QUADRATURE, z=0.0, n_oscillations=0.0):
             (n_taper, knee, W))]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
-    ppo = cfg.panels_per_oscillation
+    ppo = PANELS_PER_OSCILLATION
     rest = max(n_oscillations - abs(z) / np.pi, 0.0)
     alpha = (ppo * rest + cfg.min_panels) / (2 * W)
     beta = ppo * abs(z) / (2 * np.pi)
@@ -182,14 +183,14 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
 
     estimate(u, wk, wg) returns the (Kronrod, Gauss) pair of whatever the
     integrals reduce to (e.g. a quadratic form) on the nodes u of
-    window_nodes, graded by the trap-phase amplitude z.  Panels
-    double until, for each index of the estimate's leading axis, the pair
-    agrees to rel_tol of that row's largest Kronrod magnitude, plus an
-    absolute floor; an estimate with ndim <= 1 is one row.  Returns
+    window_nodes, graded by the largest |z| of the request.  Panels double
+    until, for each index of the estimate's leading axis, the pair agrees
+    to rel_tol of that row's largest Kronrod magnitude, plus an absolute
+    floor; an estimate with ndim <= 1 is one row.  Returns
     (Kronrod estimate, largest residual).
     """
     n_panels = max(cfg.min_panels,
-                   int(np.ceil(n_oscillations * cfg.panels_per_oscillation)))
+                   int(np.ceil(n_oscillations * PANELS_PER_OSCILLATION)))
     for _ in range(cfg.max_refinements + 1):
         est_k, est_g = estimate(*window_nodes(n_panels, cfg, z,
                                               n_oscillations))

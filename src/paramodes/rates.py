@@ -39,10 +39,6 @@ from .numerics import (
     sin_cos_theta,
 )
 
-# The rate entry points start at 2 panels per oscillation, and refine()
-# doubles the grid where that falls short; fields keep the default 10.
-RATE_QUADRATURE = replace(DEFAULT_QUADRATURE, panels_per_oscillation=2.0)
-
 
 def family_label(family, m):
     if m == 0:
@@ -226,7 +222,7 @@ def _series_terms(n_abs, eta_x, eta_z, rel_tol):
 
 
 def series_rows(catalog, dipole: DipoleSpec, eta: LambDicke,
-                cfg=RATE_QUADRATURE):
+                cfg=DEFAULT_QUADRATURE):
     """{winding |m - sigma|: kernel-series terms} the rate engine keeps for
     this catalog, dipole and trap at cfg.rel_tol; raises ValueError for a
     trap too soft for the series."""
@@ -355,7 +351,7 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
 
 
 def mode_contribution(mode, sigma, eta: LambDicke, z_center,
-                      cfg=RATE_QUADRATURE):
+                      cfg=DEFAULT_QUADRATURE):
     """Positive emission weight T_sigma of one mode at axial trap center;
     a one-task view of the rate engine."""
     return float(_catalog_T([(mode, sigma)], eta, [float(z_center)],
@@ -435,7 +431,7 @@ def _assemble(catalog, z_values, t_sigma, weights):
 
 
 def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
-              cfg=RATE_QUADRATURE, threads=1):
+              cfg=DEFAULT_QUADRATURE, threads=1):
     """Calibrated total rate versus axial trap center.
 
     One rate-engine call covers every (mode, sigma) task of the catalog
@@ -458,14 +454,14 @@ def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
 
 
 def total_rate(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
-               cfg=RATE_QUADRATURE):
+               cfg=DEFAULT_QUADRATURE):
     """RateResult at a single axial trap center."""
     return rate_scan(catalog, dipole, eta, [float(z_center)], cfg,
                      threads=1)[0]
 
 
 def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,
-              window=(120.0, 160.0, 5.0), cfg=RATE_QUADRATURE, threads=1):
+              window=(120.0, 160.0, 5.0), cfg=DEFAULT_QUADRATURE, threads=1):
     """Fix the catalog normalization to a far-field unity plateau.
 
     Averages the raw catalog total over z in the window (start, stop, step)
@@ -483,7 +479,7 @@ def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,
 
 
 def mode_table(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
-               cfg=RATE_QUADRATURE):
+               cfg=DEFAULT_QUADRATURE):
     """Per-mode calibrated contributions at one trap center, sorted by kappa.
 
     Returns a list of dicts with the calibrated contribution and its

@@ -14,6 +14,7 @@ from paramodes.core import (
     ModeParams, IonSpec, TrapSpec, DipoleSpec, ATOMIC_MASS, SIGMAS,
 )
 from paramodes.trap import LambDicke
+from paramodes.numerics import DEFAULT_QUADRATURE
 from paramodes.fieldeval import (
     field_at_point, axis_intensity_scan, stationary_phase_field,
 )
@@ -21,8 +22,7 @@ from paramodes.oracles import (
     azimuthal_pair_integral, field_2d_oracle, transversality_residual,
 )
 from paramodes.rates import (
-    RATE_QUADRATURE, build_catalog, calibrate, rate_scan, total_rate,
-    mode_contribution,
+    build_catalog, calibrate, rate_scan, total_rate, mode_contribution,
 )
 from paramodes.io import write_csv
 from paramodes.presets import load_preset
@@ -295,7 +295,7 @@ def test_criterion_10_property_suite(ybii_eta, dipole_axial, dipole_transverse,
     # against rel_tol = 1e-12, which keeps more series terms, at a near and
     # a calibration-window trap center
     mode = ModeParams(omega=1.0, m=1, kappa=-0.8, family="B")
-    tight = replace(RATE_QUADRATURE, rel_tol=1e-12)
+    tight = replace(DEFAULT_QUADRATURE, rel_tol=1e-12)
     conv = max(abs(a - b) / b for a, b in (
         (mode_contribution(mode, 1, ybii_eta, z),
          mode_contribution(mode, 1, ybii_eta, z, tight)) for z in (4.0, 140.0)))

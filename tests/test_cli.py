@@ -88,6 +88,14 @@ def test_validate_rejects_bad_scan(tmp_path, capsys):
     (dict(TINY_RATE, ion=dict(TINY_RATE["ion"], mass_amu=True)),
      "ion.mass_amu must be a finite number, got True"),
     (dict(TINY_RATE, dipole=[0.0, False, 1.0]), "dipole must be a finite number"),
+    # JSON strings are not numbers, except for complex coefficients
+    (dict(TINY_MAP, mode=dict(TINY_MAP["mode"], m="1")),
+     "mode.m must be a finite number, got '1'"),
+    (dict(TINY_MAP, mode=dict(TINY_MAP["mode"], kappa="-0.64")),
+     "mode.kappa must be a finite number, got '-0.64'"),
+    (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_rho="3")),
+     "map.n_rho must be a finite number, got '3'"),
+    (dict(TINY_RATE, dipole=[0.0, "0", 1.0]), "dipole must be a finite number"),
 ])
 def test_malformed_config_is_named_failure(tmp_path, capsys, payload, named):
     cfg = _write(tmp_path, "bad.json", payload)
@@ -99,6 +107,14 @@ def test_malformed_config_is_named_failure(tmp_path, capsys, payload, named):
         assert main(["rate-scan", "--config", cfg, "--out", out]) == 1
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+
+
+def test_complex_coefficients_may_be_strings(tmp_path):
+    payload = dict(TINY_MAP, mode=dict(TINY_MAP["mode"],
+                                       coeffs=["1+2j", -1.0, "0"]))
+    assert main(["validate", "--config", _write(tmp_path, "c.json",
+                                                payload)]) == 0
+    assert RunConfig.from_dict(payload).mode.coeffs == (1 + 2j, -1, 0)
 
 
 def test_tolerance_reaches_the_rate_quadrature(caplog, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from paramodes import fieldeval, load_preset
 from paramodes.core import ModeParams, SIGMAS
-from paramodes.numerics import DEFAULT_QUADRATURE
+from paramodes import numerics
+from paramodes.numerics import DEFAULT_QUADRATURE, refine
 from paramodes.fieldeval import (
     field_at_point, localization_plane,
     stationary_phase_angle, stationary_phase_field, stationary_phase_prefactor,
@@ -94,8 +95,9 @@ def test_axis_scan_consistent_with_pointwise():
     for z, val in zip(zs, scan):
         point = abs(field_at_point(mode, (0.0, 0.0, z)).sigma_components[0]) ** 2
         assert val == pytest.approx(point, rel=1e-10)
-    # the map's channels and metric against pointwise samples; min_panels
-    # puts every call on one grid, so only the kernel's assembly differs
+    # the map's channels and metric against pointwise samples; each point
+    # grades its own grid by its |z|, and min_panels makes every grid fine
+    # enough that the grids' differences stay at round-off
     cfg = replace(DEFAULT_QUADRATURE, min_panels=240)
     mode = ModeParams(omega=1.0, m=1, kappa=-0.64, family="E")
     rho, zs = np.array([0.0, 0.6, 1.3]), np.array([-1.0, 0.4, 1.5])
@@ -114,8 +116,9 @@ def test_fig1e_axis_scan_converged():
     zs = np.linspace(mp["z_center"] - mp["z_half_span"],
                      mp["z_center"] + mp["z_half_span"], mp["n_z"])
     got = axis_intensity_scan(mode, zs)
+    # no fewer panels than the 365 of the 40-per-oscillation grid
     ref = axis_intensity_scan(mode, zs, replace(
-        DEFAULT_QUADRATURE, panels_per_oscillation=40.0, rel_tol=1e-11))
+        DEFAULT_QUADRATURE, min_panels=400, rel_tol=1e-11))
     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(ref)
 
 
@@ -190,9 +193,11 @@ def test_isointensity_grid_threshold():
         isointensity_grid(mode, 1.5, xy, xy, zs)
 
 
-def test_intensity_map_failure_masks_whole_grid():
-    cfg = replace(DEFAULT_QUADRATURE, max_refinements=0,
-                  panels_per_oscillation=0.1)
+def test_intensity_map_failure_masks_whole_grid(monkeypatch):
+    # a graded first grid at the default density converges by design, so
+    # the failure needs a first grid far too coarse for the phase
+    monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
+    cfg = replace(DEFAULT_QUADRATURE, max_refinements=0)
     mode = ModeParams(omega=1.0, m=0, kappa=-10.4, family="E")
     grid, mask = intensity_map(mode, "total", np.linspace(0.0, 2.0, 3),
                                np.linspace(18.0, 24.0, 4), cfg)
@@ -215,3 +220,33 @@ def test_field_kernel_blocks_match_single_block(monkeypatch):
     monkeypatch.setattr(fieldeval, "_BLOCK", 2)
     tiled, _ = intensity_map(mode, "total", rho, zs)
     assert np.max(np.abs(tiled - whole)) <= 1e-13 * np.max(whole)
+
+
+def test_field_kernel_grades_by_its_largest_z(monkeypatch):
+    requests = []  # (z passed to refine, node count of each grid evaluated)
+
+    def recording_refine(estimate, n_oscillations, cfg, z=0.0):
+        grids = []
+
+        def counted(u, wk, wg):
+            grids.append(len(u))
+            return estimate(u, wk, wg)
+        requests.append((z, grids))
+        return refine(counted, n_oscillations, cfg, z)
+
+    monkeypatch.setattr(fieldeval, "refine", recording_refine)
+    mode = ModeParams(omega=1.0, m=1, kappa=-0.64, family="E")
+    intensity_map(mode, "total", [0.0, 1.0], [-7.5, 3.0, 5.0])
+    field_at_point(mode, (0.5, 0.0, -2.0))
+    assert [z for z, _ in requests] == [7.5, 2.0]
+    # every fig1 preset map converges within two graded grids
+    for name in ("fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f"):
+        raw = load_preset(name)
+        mode, mp = ModeParams(omega=1.0, **raw["mode"]), raw["map"]
+        rho = np.linspace(0.0, mp["rho_max"], mp["n_rho"])
+        zs = np.linspace(mp["z_center"] - mp["z_half_span"],
+                         mp["z_center"] + mp["z_half_span"], mp["n_z"])
+        _, mask = intensity_map(mode, mp["component"], rho, zs)
+        z, grids = requests[-1]
+        assert not mask.any()
+        assert z == np.abs(zs).max() and 1 <= len(grids) <= 2, name

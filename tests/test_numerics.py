@@ -6,7 +6,7 @@ from scipy.special import jv
 
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE, WINDOW,
-    TAPER_FRACTION, KNEE, panel_nodes, window_nodes, taper_window,
+    TAPER_FRACTION, KNEE, PANELS_PER_OSCILLATION, panel_nodes, window_nodes, taper_window,
     sin_cos_theta, theta_from_u, bessel_j, oscillation_count,
 )
 from paramodes.oracles import (
@@ -44,7 +44,7 @@ def test_oscillatory_closed_form():
 
 
 def test_adaptive_refinement_reaches_tolerance():
-    cfg = replace(DEFAULT_QUADRATURE, min_panels=4, panels_per_oscillation=2.0)
+    cfg = replace(DEFAULT_QUADRATURE, min_panels=4)
 
     def values(u):
         return np.cos(5.0 * u) * np.exp(-u**2)
@@ -60,8 +60,7 @@ def test_adaptive_refinement_reaches_tolerance():
 
 
 def test_quadrature_failure_raises_with_residual():
-    cfg = replace(DEFAULT_QUADRATURE, min_panels=3, panels_per_oscillation=0.1,
-                  max_refinements=0)
+    cfg = replace(DEFAULT_QUADRATURE, min_panels=3, max_refinements=0)
 
     def values(u):
         return np.cos(200.0 * u)
@@ -84,19 +83,18 @@ def test_window_nodes_put_edges_on_taper_knees():
         assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
 
-def _first_grid(kappa, z, cfg):
+def _first_grid(kappa, z):
     """(n_panels, n_oscillations) of refine's first grid for a rate phase."""
     nosc = oscillation_count(kappa, z, 0.0)
-    return max(cfg.min_panels,
-               int(np.ceil(nosc * cfg.panels_per_oscillation))), nosc
+    return max(DEFAULT_QUADRATURE.min_panels,
+               int(np.ceil(nosc * PANELS_PER_OSCILLATION))), nosc
 
 
 def test_graded_window_nodes_put_edges_on_taper_knees():
-    cfg = replace(DEFAULT_QUADRATURE, panels_per_oscillation=2.0)
     for kappa, z in ((0.0, 3.0), (0.0, 160.0), (5.6, -40.0), (21.0, 140.0)):
-        n_first, nosc = _first_grid(kappa, z, cfg)
+        n_first, nosc = _first_grid(kappa, z)
         for n_panels in (n_first, 2 * n_first, 97):
-            u, wk, wg = window_nodes(n_panels, cfg, z, nosc)
+            u, wk, wg = window_nodes(n_panels, DEFAULT_QUADRATURE, z, nosc)
             assert len(u) == len(wk) == len(wg) == 15 * n_panels
             assert abs(float(wk.sum()) - 2 * WINDOW) <= 1e-14 * WINDOW
             panels = u.reshape(n_panels, 15)
@@ -128,15 +126,14 @@ def test_window_nodes_at_zero_z_are_the_knee_aligned_rule():
 
 def test_graded_first_grid_resolves_the_trap_phase():
     # Int sech^2(u) e^{i z tanh u} du over |u| <= W = 2 sin(z tanh W) / z
-    cfg = replace(DEFAULT_QUADRATURE, panels_per_oscillation=2.0)
     z = 160.0
     want = 2.0 * np.sin(z * np.tanh(WINDOW)) / z
-    n_panels, nosc = _first_grid(0.0, z, cfg)
+    n_panels, nosc = _first_grid(0.0, z)
 
     def error(u, wk, wg):
         return abs(complex(np.cosh(u) ** -2 * np.exp(1j * z * np.tanh(u)) @ wk)
                    - want)
-    assert error(*window_nodes(n_panels, cfg, z, nosc)) <= 1e-12
+    assert error(*window_nodes(n_panels, DEFAULT_QUADRATURE, z, nosc)) <= 1e-12
     assert error(*window_nodes(n_panels)) > 1e-6
 
 
@@ -189,4 +186,5 @@ def test_quadrature_config_validation():
     assert cfg.rel_tol == 1e-6
     assert cfg.min_panels == DEFAULT_QUADRATURE.min_panels
     assert [f.name for f in fields(QuadratureConfig)] == [
-        "rel_tol", "max_refinements", "panels_per_oscillation", "min_panels"]
+        "rel_tol", "max_refinements", "min_panels"]
+    assert PANELS_PER_OSCILLATION == 2.0

@@ -11,13 +11,16 @@ from paramodes.core import (
 )
 from paramodes.trap import LambDicke
 from paramodes.fieldeval import field_at_point
-from paramodes.numerics import DEFAULT_QUADRATURE, QuadratureError
+from paramodes import numerics
+from paramodes.numerics import (
+    DEFAULT_QUADRATURE, QuadratureError, oscillation_count,
+)
 from paramodes import rates
 from paramodes.rates import (
     ModeCatalog, family_label,
     build_ladder, build_catalog, calibrate,
     mode_contribution, total_rate, rate_scan, mode_table, gamma0,
-    RATE_QUADRATURE, _series_terms,
+    _series_terms,
 )
 from paramodes.oracles import (
     mode_contribution_direct, mode_contribution_general,
@@ -139,9 +142,12 @@ def test_engine_paths_agree_for_general_coefficients(ybii_eta):
             assert dense == pytest.approx(fast, rel=1e-8)
 
 
-def test_rate_paths_raise_when_refinement_is_exhausted(ybii_eta):
-    cfg = replace(DEFAULT_QUADRATURE, max_refinements=0,
-                  panels_per_oscillation=0.1)
+def test_rate_paths_raise_when_refinement_is_exhausted(ybii_eta,
+                                                      monkeypatch):
+    # a graded first grid at the default density converges by design, so
+    # the failure needs a first grid far too coarse for the phase
+    monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
+    cfg = replace(DEFAULT_QUADRATURE, max_refinements=0)
     mode = ModeParams(omega=1.0, m=0, kappa=5.6, family="E")
     eta_xyz = (ybii_eta.eta_x, ybii_eta.eta_y, ybii_eta.eta_z)
     for path in (
@@ -181,10 +187,10 @@ def test_contributions_are_positive(ybii_eta):
 def test_series_order_convergence(ybii_eta):
     # rel_tol = 1e-12 keeps more series terms; z = 140 is in the
     # calibration window, where the rates are smallest
-    tight = replace(RATE_QUADRATURE, rel_tol=1e-12)
+    tight = replace(DEFAULT_QUADRATURE, rel_tol=1e-12)
     assert len(_series_terms(0, ybii_eta.eta_x, ybii_eta.eta_z, 1e-12)) \
         > len(_series_terms(0, ybii_eta.eta_x, ybii_eta.eta_z,
-                            RATE_QUADRATURE.rel_tol))
+                            DEFAULT_QUADRATURE.rel_tol))
     mode = ModeParams(omega=1.0, m=0, kappa=1.1, family="E")
     for z in (-3.0, 140.0):
         default = mode_contribution(mode, 0, ybii_eta, z)
@@ -261,9 +267,11 @@ def test_rate_scan_deterministic_across_threads(ybii_eta, dipole_axial,
 def test_total_rate_single_z_accuracy(ybii_eta, dipole_transverse):
     # the default grid against the same engine converged far past it
     cat = build_catalog(MIXED_RULE, omega=1.0)
-    converged = replace(DEFAULT_QUADRATURE, panels_per_oscillation=40.0,
-                        rel_tol=1e-12)
+    kmax = max(abs(mode.kappa) for mode in cat.modes)
     for z in (-40.0, -11.2, 0.0, 3.7, 140.0):
+        # no fewer panels than 40 per oscillation, 20 times the default
+        converged = replace(DEFAULT_QUADRATURE, rel_tol=1e-12, min_panels=int(
+            np.ceil(40.0 * oscillation_count(kmax, z, 0.0))))
         got = total_rate(cat, dipole_transverse, ybii_eta, z)
         ref = total_rate(cat, dipole_transverse, ybii_eta, z, converged)
         bound = 1e-11 * ref.total
@@ -349,7 +357,7 @@ def test_rate_scan_rows_match_single_task_engine(ybii_eta):
             single = np.array([mode_contribution(mode, sigma, ybii_eta, z)
                                for z in zs])
             # each path converges to rel_tol of its own row scale
-            bound = 2 * RATE_QUADRATURE.rel_tol * max(scan.max(),
+            bound = 2 * DEFAULT_QUADRATURE.rel_tol * max(scan.max(),
                                                       single.max()) + 1e-15
             assert np.max(np.abs(scan - single)) <= bound
 
@@ -416,7 +424,7 @@ def test_rate_engine_maps_once_per_z_tile(ybii_eta, monkeypatch):
     monkeypatch.setattr(rates, "refine", counting_refine)
     monkeypatch.setattr(rates, "_Z_BLOCK", 2)
     zs = [-40.0, -11.2, 0.0, 3.7, 25.0]
-    rates._catalog_T(tasks, ybii_eta, zs, RATE_QUADRATURE, recording_map)
+    rates._catalog_T(tasks, ybii_eta, zs, DEFAULT_QUADRATURE, recording_map)
     want = [(tuple(zs[q:q + 2]), n_blocks) for n_blocks in estimates
             for q in range(0, len(zs), 2)]
     assert estimates and tiles == want
@@ -428,16 +436,16 @@ def test_rate_engine_bits_match_across_threads_and_z_tiles(
     tasks = [(mode, s) for mode in cat.modes for s in (1, -1)]
     monkeypatch.setattr(rates, "_Z_BLOCK", 2)
     zs = [-40.0, -11.2, 0.0, 3.7, 25.0]
-    seq = rates._catalog_T(tasks, ybii_eta, zs, RATE_QUADRATURE)
+    seq = rates._catalog_T(tasks, ybii_eta, zs, DEFAULT_QUADRATURE)
     for threads in (2, 8):
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            par = rates._catalog_T(tasks, ybii_eta, zs, RATE_QUADRATURE,
+            par = rates._catalog_T(tasks, ybii_eta, zs, DEFAULT_QUADRATURE,
                                    pool.map)
         assert np.array_equal(seq, par)
 
 
 def test_series_terms_are_cached_and_immutable(ybii_eta):
-    args = (1, ybii_eta.eta_x, ybii_eta.eta_z, RATE_QUADRATURE.rel_tol)
+    args = (1, ybii_eta.eta_x, ybii_eta.eta_z, DEFAULT_QUADRATURE.rel_tol)
     terms = _series_terms(*args)
     assert _series_terms(*args) is terms
     assert isinstance(terms, tuple) and all(isinstance(t, tuple)

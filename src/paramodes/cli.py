@@ -234,16 +234,23 @@ def _quadrature(args):
     return replace(DEFAULT_QUADRATURE, rel_tol=args.tolerance)
 
 
-def _calibrated_catalog(cfg, args, quad):
-    cfg.require("ion", "dipole", "eta", "catalog_rule", "window")
+def _catalog(cfg, quad):
+    """The configured catalog, logged, with its rate-series terms when the
+    configuration has a dipole and a trap."""
     catalog = build_catalog(cfg.catalog_rule, cfg.ion.omega)
     log.info("catalog: %d modes over %s", len(catalog.modes),
              ", ".join(catalog.family_labels))
-    # a trap too soft for the rate series fails here, before calibrating
-    log.info("rate series terms per winding |m - sigma|: %s",
-             series_rows(catalog, cfg.dipole, cfg.eta, quad))
-    catalog = calibrate(catalog, cfg.dipole, cfg.eta, cfg.window, quad,
-                        threads=args.threads)
+    if cfg.dipole is not None and cfg.eta is not None:
+        # a trap too soft for the rate series fails here, before calibrating
+        log.info("rate series terms per winding |m - sigma|: %s",
+                 series_rows(catalog, cfg.dipole, cfg.eta, quad))
+    return catalog
+
+
+def _calibrated_catalog(cfg, args, quad):
+    cfg.require("ion", "dipole", "eta", "catalog_rule", "window")
+    catalog = calibrate(_catalog(cfg, quad), cfg.dipole, cfg.eta, cfg.window,
+                        quad, threads=args.threads)
     log.info("calibration constant C = %.9g (window %s)",
              catalog.calibration, cfg.window)
     return catalog
@@ -347,12 +354,7 @@ def cmd_validate(args):
     if cfg.catalog_rule is not None:
         if cfg.ion is None:
             raise ValueError("catalog section requires an ion section")
-        catalog = build_catalog(cfg.catalog_rule, cfg.ion.omega)
-        log.info("catalog: %d modes over %s", len(catalog.modes),
-                 ", ".join(catalog.family_labels))
-        if cfg.dipole is not None and cfg.eta is not None:
-            log.info("rate series terms per winding |m - sigma|: %s",
-                     series_rows(catalog, cfg.dipole, cfg.eta, _quadrature(args)))
+        _catalog(cfg, _quadrature(args))
     print("configuration ok")
     return 0
 

@@ -22,6 +22,7 @@ catalog total averages to one over a far-field window on the shadow side,
 where the mirror no longer modifies the emission.
 """
 
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
@@ -48,17 +49,15 @@ def family_label(family, m):
 
 def _parse_family_label(label):
     """'E m=0' -> [('E', 0)]; 'B |m|=1' -> [('B', 1), ('B', -1)]."""
-    fam, _, mpart = label.partition(" ")
-    if fam not in ("E", "B") or not mpart:
+    match = re.fullmatch(r"([EB]) (m|\|m\|)=(-?\d+)", label)
+    if match is None:
         raise ValueError(f"unrecognized family label {label!r}")
-    if mpart.startswith("|m|="):
-        mag = int(mpart[4:])
-        if mag <= 0:
-            raise ValueError(f"|m| must be positive in {label!r}")
-        return [(fam, mag), (fam, -mag)]
-    if mpart.startswith("m="):
-        return [(fam, int(mpart[2:]))]
-    raise ValueError(f"unrecognized family label {label!r}")
+    fam, m = match[1], int(match[3])
+    if match[2] == "m":
+        return [(fam, m)]
+    if m <= 0:
+        raise ValueError(f"|m| must be positive in {label!r}")
+    return [(fam, m), (fam, -m)]
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,10 @@ def build_catalog(rule, omega):
     if not labels:
         raise ValueError("rule must list at least one mode family")
     pairs = []
-    for lab in labels:
-        pairs.extend(_parse_family_label(lab))
+    for fam, m in (p for lab in labels for p in _parse_family_label(lab)):
+        if (fam, m) in pairs:
+            raise ValueError(f"family {fam} m={m} is listed twice in {labels}")
+        pairs.append((fam, m))
     krule = rule.get("kappa")
     if not krule:
         raise ValueError("rule must specify a kappa catalog")
@@ -366,18 +367,27 @@ class ModeRate:
     t_sigma: tuple          # aligned with SIGMAS = (+1, -1, 0)
     weighted: float         # sum over sigma of |d_{-sigma}|^2 T, uncalibrated
 
-    @property
-    def label(self):
-        return family_label(self.family, self.m)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateResult:
+    """Rates at one axial trap center.  t_sigma and weighted are read-only
+    views into the scan's [mode, sigma, z] and [mode, z] tables, shared by
+    every z of the scan; `rows` builds per-mode records on request."""
+
     z: float
     total: float            # calibrated
     calibration: float
-    rows: tuple             # ModeRate per catalog entry, catalog order
+    modes: tuple            # the catalog's modes, catalog order
+    t_sigma: np.ndarray     # [mode, sigma], sigma aligned with SIGMAS
+    weighted: np.ndarray    # [mode], as ModeRate.weighted
     family_totals: tuple    # ((label, calibrated subtotal), ...)
+
+    @property
+    def rows(self):
+        """ModeRate per catalog entry, catalog order."""
+        return tuple(ModeRate(mode.family, mode.m, mode.kappa, tuple(t), w)
+                     for mode, t, w in zip(self.modes, self.t_sigma.tolist(),
+                                           self.weighted.tolist()))
 
     def resummed_total(self):
         """Recompute the total by family grouping; equals `total` exactly."""
@@ -386,48 +396,31 @@ class RateResult:
             acc += sub
         return acc
 
-    def to_dict(self):
-        return {
-            "z": self.z,
-            "total": self.total,
-            "calibration": self.calibration,
-            "families": {lab: sub for lab, sub in self.family_totals},
-            "modes": [
-                {"family": r.family, "m": r.m, "kappa": r.kappa,
-                 "t_sigma": {str(s): t for s, t in zip(SIGMAS, r.t_sigma)},
-                 "weighted": r.weighted}
-                for r in self.rows
-            ],
-        }
-
 
 def _assemble(catalog, z_values, t_sigma, weights):
     """Fold t_sigma[mode, sigma index, z] into one RateResult per z.
 
-    Summation order is fixed by the catalog: per family in first-appearance
-    order, modes within a family in catalog order.  Identical regardless of
-    how the table was computed.
+    Every sum runs elementwise over z in a fixed order: sigma channels in
+    SIGMAS order, modes within a family in catalog order, families in
+    first-appearance order.  np.add.accumulate adds in sequence; np.sum
+    would add pairwise and change the bits.
     """
-    results = []
-    labels = catalog.family_labels
-    for iz, z in enumerate(z_values):
-        rows = []
-        subtotals = {lab: 0.0 for lab in labels}
-        for im, mode in enumerate(catalog.modes):
-            tsig = tuple(float(t) for t in t_sigma[im, :, iz])
-            wsum = 0.0
-            for s, t in zip(SIGMAS, tsig):
-                wsum += weights[s] * t
-            rows.append(ModeRate(mode.family, mode.m, mode.kappa, tsig, wsum))
-            subtotals[rows[-1].label] += catalog.calibration * wsum
-        total = 0.0
-        fam_list = []
-        for lab in labels:
-            fam_list.append((lab, subtotals[lab]))
-            total += subtotals[lab]
-        results.append(RateResult(float(z), total, catalog.calibration,
-                                  tuple(rows), tuple(fam_list)))
-    return results
+    weighted = 0.0
+    for i, s in enumerate(SIGMAS):
+        weighted = weighted + weights[s] * t_sigma[:, i]
+    labels = [family_label(mode.family, mode.m) for mode in catalog.modes]
+    contrib = catalog.calibration * weighted
+    families = catalog.family_labels
+    subtotals = np.array([
+        np.add.accumulate(contrib[[lab == fam for lab in labels]])[-1]
+        for fam in families])
+    total = np.add.accumulate(subtotals)[-1]
+    t_sigma.flags.writeable = weighted.flags.writeable = False
+    return [RateResult(z, tot, catalog.calibration, catalog.modes,
+                       t_sigma[:, :, iz], weighted[:, iz],
+                       tuple(zip(families, subs)))
+            for iz, (z, tot, subs) in enumerate(zip(
+                z_values.tolist(), total.tolist(), subtotals.T.tolist()))]
 
 
 def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
@@ -486,12 +479,13 @@ def mode_table(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
     fraction of the total.
     """
     res = total_rate(catalog, dipole, eta, z_center, cfg)
-    rows = sorted(res.rows, key=lambda r: (r.kappa, r.family, r.m))
+    pairs = sorted(zip(res.modes, res.weighted.tolist()),
+                   key=lambda p: (p[0].kappa, p[0].family, p[0].m))
     out = []
-    for r in rows:
-        contrib = res.calibration * r.weighted
+    for mode, weighted in pairs:
+        contrib = res.calibration * weighted
         out.append({
-            "family": r.family, "m": r.m, "kappa": r.kappa,
+            "family": mode.family, "m": mode.m, "kappa": mode.kappa,
             "contribution": contrib,
             "fraction": contrib / res.total if res.total > 0 else 0.0,
         })

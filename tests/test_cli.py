@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paramodes
+from paramodes import rates
 from paramodes.cli import main, RunConfig, build_parser, _load_config, _merge
 from paramodes.io import config_hash, format_float, write_csv
 from paramodes.presets import load_preset, preset_names
@@ -96,6 +97,20 @@ def test_validate_rejects_bad_scan(tmp_path, capsys):
     (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_rho="3")),
      "map.n_rho must be a finite number, got '3'"),
     (dict(TINY_RATE, dipole=[0.0, "0", 1.0]), "dipole must be a finite number"),
+    # family labels: malformed ones and a (family, m) listed twice
+    (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"], families=["E m=x"])),
+     "unrecognized family label 'E m=x'"),
+    (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"],
+                                  families=["E |m|=1.5"])),
+     "unrecognized family label 'E |m|=1.5'"),
+    (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"], families=["E m="])),
+     "unrecognized family label 'E m='"),
+    (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"],
+                                  families=["E m=0", "E m=0"])),
+     "family E m=0 is listed twice"),
+    (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"],
+                                  families=["E |m|=1", "E m=1"])),
+     "family E m=1 is listed twice"),
 ])
 def test_malformed_config_is_named_failure(tmp_path, capsys, payload, named):
     cfg = _write(tmp_path, "bad.json", payload)
@@ -266,6 +281,24 @@ def test_perp_decomposition_output(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert set(payload["families"]) == {"E |m|=1", "B |m|=1", "B m=0"}
     assert payload["total"] == pytest.approx(sum(payload["families"].values()), rel=1e-12)
+
+
+def test_rate_paths_build_no_mode_rows(tmp_path, monkeypatch):
+    # per-mode records are built only when a caller reads RateResult.rows
+    def no_rows(*args):
+        raise AssertionError("a ModeRate was built")
+
+    monkeypatch.setattr(rates, "ModeRate", no_rows)
+    cfg = RunConfig.from_dict(TINY_RATE)
+    cat = rates.calibrate(rates.build_catalog(cfg.catalog_rule, cfg.ion.omega),
+                          cfg.dipole, cfg.eta, cfg.window)
+    rates.rate_scan(cat, cfg.dipole, cfg.eta, cfg.scan_grid, threads=2)
+    rates.total_rate(cat, cfg.dipole, cfg.eta, 1.0)
+    rates.mode_table(cat, cfg.dipole, cfg.eta, 1.0)
+    path = _write(tmp_path, "rate.json", TINY_RATE)
+    for command in ("rate-scan", "mode-table", "perp-decomposition"):
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / command)]) == 0
 
 
 @pytest.mark.parametrize("command", ["mode-table", "perp-decomposition"])

@@ -208,9 +208,33 @@ def test_total_rate_structure(ybii_eta, dipole_axial):
         assert row.t_sigma[0] == 0.0 and row.t_sigma[1] == 0.0
         assert row.t_sigma[2] >= 0.0
         assert row.weighted == pytest.approx(row.t_sigma[2], rel=1e-15)
-    # total re-derives from the rows exactly through the family grouping
-    recomputed = sum(res.calibration * row.weighted for row in res.rows)
-    assert res.total == pytest.approx(recomputed, rel=1e-12)
+
+
+def test_rate_sums_match_the_scalar_loop(ybii_eta):
+    # the array sums keep the scalar order bit for bit: sigma channels in
+    # SIGMAS order, modes in catalog order, families in first-appearance
+    # order; and the shared tables cannot be written through a result
+    cat = build_catalog(MIXED_RULE, omega=1.0).calibrated(0.37)
+    dipole = DipoleSpec((0.6, 0.0, 0.8))   # every sigma weighted
+    weights = [dipole.sigma_weight(s) for s in SIGMAS]
+    for res in rate_scan(cat, dipole, ybii_eta, [-11.2, 0.0, 3.7]):
+        subtotals = {}
+        for im, row in enumerate(res.rows):
+            w = 0.0
+            for weight, t in zip(weights, row.t_sigma):
+                w += weight * t
+            assert res.weighted[im] == row.weighted == w
+            assert tuple(res.t_sigma[im]) == row.t_sigma
+            lab = family_label(row.family, row.m)
+            subtotals[lab] = subtotals.get(lab, 0.0) + res.calibration * w
+        assert res.family_totals == tuple(subtotals.items())
+        total = 0.0
+        for sub in subtotals.values():
+            total += sub
+        assert res.total == total == res.resummed_total()
+        for table in (res.t_sigma, res.weighted):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
 
 
 def test_transverse_dipole_selection(ybii_eta, dipole_transverse):
@@ -385,15 +409,6 @@ def test_mode_table_sorted_and_normalized(ybii_eta, dipole_axial):
     assert ks == sorted(ks)
     assert sum(row["fraction"] for row in table) == pytest.approx(1.0, rel=1e-12)
     assert all(row["contribution"] >= 0 for row in table)
-
-
-def test_rate_result_serialization(ybii_eta, dipole_axial):
-    res = total_rate(_tiny_catalog(), dipole_axial, ybii_eta, 1.0)
-    d = res.to_dict()
-    assert d["z"] == 1.0
-    assert d["total"] == res.total
-    assert len(d["modes"]) == len(res.rows)
-    assert set(d["families"]) == {"E m=0"}
 
 
 def test_free_space_rate_formula():

@@ -7,12 +7,13 @@ free-space rate.  SI values enter only at the configuration boundary.
 
 from dataclasses import dataclass
 import numpy as np
-from scipy import constants as _const
 
-HBAR = _const.hbar
-C_LIGHT = _const.c
-EPS0 = _const.epsilon_0
-ATOMIC_MASS = _const.physical_constants["atomic mass constant"][0]
+# SI values of scipy.constants (CODATA 2022), written out so that importing
+# the package does not load scipy
+HBAR = 1.0545718176461565e-34  # J s
+C_LIGHT = 299792458.0  # m/s
+EPS0 = 8.8541878188e-12  # F/m
+ATOMIC_MASS = 1.66053906892e-27  # kg
 
 SIGMA_PLUS, SIGMA_MINUS, SIGMA_ZERO = 1, -1, 0
 SIGMAS = (SIGMA_PLUS, SIGMA_MINUS, SIGMA_ZERO)

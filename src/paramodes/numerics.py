@@ -20,7 +20,6 @@ field or a rate grades the panels toward u = 0, where its oscillations crowd.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 # |u| <= WINDOW, tapered from the knees +-KNEE = +-9.600000000000001 (not 9.6)
 WINDOW = 12.0
@@ -220,6 +219,8 @@ def bessel_j(n, x):
     """Bessel J_n of scalar order n: scipy.special.j0/j1 for n = 0 and +-1
     (J_{-1} = -J_1), an order of magnitude faster than jv, and jv
     otherwise."""
+    # imported here, so that only field evaluations load scipy
+    from scipy import special as _sp
     if n == 0:
         return _sp.j0(x)
     if n == 1 or n == -1:

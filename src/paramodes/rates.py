@@ -22,6 +22,7 @@ catalog total averages to one over a far-field window on the shadow side,
 where the mirror no longer modifies the emission.
 """
 
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,7 +30,6 @@ from functools import lru_cache, partial
 from threading import Lock
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (ModeParams, DipoleSpec, SIGMAS, HBAR, C_LIGHT, EPS0,
                    DEFAULT_COEFFS)
@@ -202,10 +202,12 @@ def _series_terms(n_abs, eta_x, eta_z, rel_tol):
     """
     j = np.arange(_MAX_SERIES_ROWS)
     e_r = n_abs + 2 * j
+    log_fact = np.array([math.lgamma(k + 1.0)
+                         for k in range(n_abs + _MAX_SERIES_ROWS)])
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = np.where(j > 0, 2 * j * np.log(eta_z), 0.0) - gammaln(j + 1)
+        log_a = np.where(j > 0, 2 * j * np.log(eta_z), 0.0) - log_fact[j]
         log_b = np.where(e_r > 0, e_r * (2 * np.log(eta_x) - np.log(2.0)),
-                         0.0) - gammaln(j + 1) - gammaln(j + n_abs + 1)
+                         0.0) - log_fact[j] - log_fact[j + n_abs]
         log_g = log_a[:, None] + log_b[None, :]
     top = log_g.max()
     if top == -np.inf:  # eta_x = 0 leaves no term of nonzero winding
@@ -238,6 +240,21 @@ def series_rows(catalog, dipole: DipoleSpec, eta: LambDicke,
 # set.  Node blocks are the only unit of work that `threads` shares out.
 _U_BLOCK = 1050
 _Z_BLOCK = 64
+# multiply-adds m n k per real gemm call of the rate engine.  On OpenBLAS
+# 0.3.31 (x86-64, AVX-512) a call this small gives the same bytes with one
+# BLAS thread and with the default thread count, and from m n k = 1.008e6
+# up it does not; tests/test_references.py checks the rate anchors' bytes
+# across both settings.
+_GEMM_MNK = 1_000_000
+
+
+def _dgemm(a, b, out):
+    """out = a @ b for real 2-D arrays, in column chunks of at most
+    _GEMM_MNK multiply-adds each."""
+    m, k = a.shape
+    n = max(1, _GEMM_MNK // (m * k))
+    for j in range(0, b.shape[1], n):
+        np.matmul(a, b[:, j:j + n], out=out[:, j:j + n])
 
 
 class _BlockSum:
@@ -267,14 +284,24 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     Every task shares one grid, sized by the largest |kappa| and |z|, and
     one refine() that tests each task's row on its own scale.  Per winding
     n = |m - sigma|, T = sum_r gamma_r |G|^2 over the series rows
-    _series_terms keeps at cfg.rel_tol, with G[t, r, z] = sum_u A[t, u]
-    M[u, r, z], A = w_u e^{2 i kappa u} sum_j conj(c_j unit_j(u)) (Kronrod
-    and Gauss weights stacked) and M = base(u) row_r(u) e^{-i z cos theta}.
-    The sum runs per tile of z values, with one pool_map over the node
-    blocks.  A block builds what no winding changes once: the kappa phase
-    per distinct kappa, unit_spectra per family, the c and s power tables
-    and the trap phase.  Then, per winding, it builds M and makes one gemm
-    per group of tasks sharing family and sigma.
+    _series_terms keeps at cfg.rel_tol, with
+    G[t, r, z] = sum_u A[t, u] rows[u, r] e^{-i z cos theta(u)},
+    A = e^{2 i kappa u} sum_j conj(c_j unit_j(u)) and
+    rows = w_u base(u) c^p s^e_r.  The sum runs per tile of z values, with
+    one pool_map over the node blocks.  A block builds what no winding
+    changes once: the kappa phase per distinct kappa, unit_spectra per
+    family, the c and s power tables and the trap phase.  Then, per
+    winding, it contracts each group of tasks sharing family and sigma in
+    the cheaper order for its size.  A group with fewer tasks than series
+    rows puts the phase into its tasks, B[u, t z] = A[t, u] e^{-i z cos},
+    and the winding's small groups share one real gemm rows^T @ B on the
+    (re, im) pairs, in chunks small enough for one BLAS thread.  A larger
+    group shares M[u, r z] = rows[u, r] e^{-i z cos} with the other large
+    groups of its winding and makes one complex gemm A @ M.
+
+    Blocks hold their Gauss nodes first, and w_u is the Kronrod weight, so
+    the Gauss estimate rescales the leading ng nodes by wg / wk and reads
+    no node of Gauss weight zero.
     """
     if not eta.axisymmetric:
         raise NotImplementedError(
@@ -290,23 +317,37 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     for t, (mode, sigma) in enumerate(tasks):
         windings.setdefault(abs(mode.m - sigma), {}).setdefault(
             (mode.family, SIGMAS.index(sigma)), []).append(t)
-    passes = []  # (series terms, {(family, sigma index): tasks}) per winding
+    passes = []  # (p, e_r, small groups, large groups) per winding
+    sums = []  # (gamma, tasks, rows first) per block sum, in block order
     for n, gs in sorted(windings.items()):
         terms = _series_terms(n, eta.eta_x, eta.eta_z, cfg.rel_tol)
-        if terms:  # else T stays 0
-            passes.append(([np.array(t) for t in zip(*terms)], gs))
-    groups = [(terms[2], idx) for terms, gs in passes for idx in gs.values()]
-    families = {fam for _, gs in passes for fam, _ in gs}
-    deg = max((max(t[0].max(), t[1].max()) for t, _ in passes), default=0)
+        if not terms:  # T stays 0
+            continue
+        p, e_r, gamma = (np.array(t) for t in zip(*terms))
+        small = [g for g in gs.items() if len(g[1]) < len(gamma)]
+        large = [g for g in gs.items() if len(g[1]) >= len(gamma)]
+        passes.append((p, e_r, small, large))
+        if small:
+            sums.append((gamma, [t for _, idx in small for t in idx], True))
+        sums += [(gamma, idx, False) for _, idx in large]
+    families = {fam for _, _, small, large in passes
+                for (fam, _), _ in small + large}
+    deg = max((max(p.max(), e_r.max()) for p, e_r, _, _ in passes), default=0)
 
     def block(z_tile, add, numbered_nodes):
-        b, (u, wk, wg) = numbered_nodes
+        b, (u, wk, wg, ng) = numbered_nodes
         s, c = sin_cos_theta(u)
-        w = np.stack((wk, wg))[:, None, :]
         kappa_phase = np.exp(2j * np.multiply.outer(kappas, u))
         unit = {fam: np.conj(unit_spectra(fam, s, c)) for fam in families}
-        base = s**2 * taper_window(u) \
+
+        def spectra(groups):  # A[t, u] of the groups' tasks, stacked
+            return np.concatenate([kappa_phase[kidx[idx]] * sum(
+                conj_c[idx, j, None] * unit[fam][i_sigma, j]
+                for j in range(3)) for (fam, i_sigma), idx in groups])
+
+        base = wk * s**2 * taper_window(u) \
             * np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
+        to_gauss = (wg / wk)[:ng]
         c_pow = np.vander(c, deg + 1, increasing=True)
         s_pow = np.vander(s, deg + 1, increasing=True)
         # trap phase e^{-i z cos theta} as cos - i sin, built in place
@@ -315,34 +356,52 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
         np.cos(phase.imag, out=phase.real)
         np.negative(np.sin(phase.imag, out=phase.imag), out=phase.imag)
         g = 0
-        for (p, e_r, _), gs in passes:
+        for p, e_r, small, large in passes:
             # (node, row) powers c^p s^e_r, C-ordered so M reshapes in place
             rows = base[:, None] * np.take(c_pow, p, axis=1) \
                 * np.take(s_pow, e_r, axis=1)
-            M = (rows[:, :, None] * phase[:, None, :]).reshape(len(u), -1)
-            for (fam, i_sigma), idx in gs.items():
-                a = kappa_phase[kidx[idx]] * sum(
-                    conj_c[idx, j, None] * unit[fam][i_sigma, j]
-                    for j in range(3))
-                add(b, g, (a * w).reshape(2 * len(idx), -1) @ M)
+            if small:
+                a = np.ascontiguousarray(spectra(small).T)  # [node, task]
+                B = (a[:, :, None] * phase[:, None, :]).view(float) \
+                    .reshape(len(u), -1)
+                part = np.empty((2, rows.shape[1], B.shape[1]))
+                _dgemm(rows.T, B, part[0])
+                _dgemm((rows[:ng] * to_gauss[:, None]).T, B[:ng], part[1])
+                add(b, g, part.view(complex))
                 g += 1
-            del rows, M, a  # one winding's M alive at a time
+                del a, B
+            if large:
+                M = (rows[:, :, None] * phase[:, None, :]).reshape(len(u), -1)
+                for group in large:
+                    a = spectra([group])
+                    part = np.empty((2, len(a), M.shape[1]), dtype=complex)
+                    np.matmul(a, M, out=part[0])
+                    np.matmul(a[:, :ng] * to_gauss, M[:ng], out=part[1])
+                    add(b, g, part)
+                    g += 1
+                del M, a  # one winding's M alive at a time
 
     def estimate(u, wk, wg):
-        blocks = [(u[i:i + _U_BLOCK], wk[i:i + _U_BLOCK], wg[i:i + _U_BLOCK])
-                  for i in range(0, len(u), _U_BLOCK)]
+        blocks = []
+        for i in range(0, len(u), _U_BLOCK):
+            nodes = slice(i, i + _U_BLOCK)
+            gauss_first = np.argsort(wg[nodes] == 0, kind="stable")
+            blocks.append((*(x[nodes][gauss_first] for x in (u, wk, wg)),
+                           np.count_nonzero(wg[nodes])))
         T = np.zeros((2, len(tasks), len(z_values)))
         for q in range(0, len(z_values), _Z_BLOCK):
             zt = slice(q, q + _Z_BLOCK)
             n_z = len(z_values[zt])
-            G = _BlockSum([(2 * len(idx), len(gamma) * n_z)
-                           for gamma, idx in groups])
+            G = _BlockSum([(2, len(gamma), len(idx) * n_z) if rows_first
+                           else (2, len(idx), len(gamma) * n_z)
+                           for gamma, idx, rows_first in sums])
             # the blocks add every winding's parts to G; list() runs them all
             list(pool_map(partial(block, z_values[zt], G.add),
                           enumerate(blocks)))
-            for (gamma, idx), g in zip(groups, G.sums):
-                g = np.abs(g.reshape(2, len(idx), len(gamma), -1)) ** 2
-                T[:, idx, zt] = np.einsum("r,wkrz->wkz", gamma, g,
+            for (gamma, idx, rows_first), g in zip(sums, G.sums):
+                g = g.reshape(2, len(gamma), len(idx), n_z).swapaxes(1, 2) \
+                    if rows_first else g.reshape(2, len(idx), len(gamma), n_z)
+                T[:, idx, zt] = np.einsum("r,wkrz->wkz", gamma, np.abs(g) ** 2,
                                           optimize=False)
         return T[0], T[1]
 

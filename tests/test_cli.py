@@ -162,13 +162,15 @@ def test_threads_only_on_commands_that_read_it():
 
 
 def test_oracles_stay_out_of_production_imports():
+    # nor does scipy load: only field evaluations import scipy.special
     src = os.path.dirname(os.path.dirname(paramodes.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             "import paramodes, paramodes.cli; "
-            "print('paramodes.oracles' in sys.modules)")
+            "print('paramodes.oracles' in sys.modules, "
+            "[m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False []"
 
 
 def test_config_overlay_merges_into_preset_sections(tmp_path):

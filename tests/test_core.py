@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from paramodes.core import (
-    C_LIGHT, SIGMAS,
+    HBAR, C_LIGHT, EPS0, ATOMIC_MASS, SIGMAS,
     ModeParams, IonSpec, TrapSpec, DipoleSpec,
     to_dimensionless, from_dimensionless,
     circular_components, cartesian_from_circular, dot_circular,
 )
 from paramodes.spectrum import sigma_profile
+
+
+def test_constants_equal_scipy_values():
+    from scipy import constants
+    assert (HBAR, C_LIGHT, EPS0, ATOMIC_MASS) == (
+        constants.hbar, constants.c, constants.epsilon_0,
+        constants.physical_constants["atomic mass constant"][0])
 
 
 def test_dimensionless_round_trip():

@@ -15,7 +15,7 @@ from paramodes import numerics
 from paramodes.numerics import (
     DEFAULT_QUADRATURE, QuadratureError, oscillation_count,
 )
-from paramodes import rates
+from paramodes import rates, spectrum
 from paramodes.rates import (
     ModeCatalog, family_label,
     build_ladder, build_catalog, calibrate,
@@ -474,3 +474,68 @@ def test_rate_scan_rejects_non_finite_z(ybii_eta, dipole_axial):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="must be finite"):
             rate_scan(_tiny_catalog(), dipole_axial, ybii_eta, [0.0, bad])
+
+
+def test_contraction_orders_agree_in_one_catalog(ybii_eta, dipole_axial,
+                                                 monkeypatch):
+    # under an axial dipole, 20 E m=0 ladder modes make a winding-0 group at
+    # least as large as its 15 series rows (complex gemm), while the B m=0
+    # and E m=+-1 groups of MIXED_RULE are smaller than theirs (real gemm)
+    ladder = {"families": ["E m=0"],
+              "kappa": {"start": 0.02, "step_inner": 0.28, "transition": 1.5,
+                        "step_outer": 0.44, "max": 3.44}}
+    modes = build_catalog(ladder, omega=1.0).modes \
+        + build_catalog(MIXED_RULE, omega=1.0).modes
+    tasks = [(mode, 0) for mode in modes]
+    groups = {}
+    for t, (mode, sigma) in enumerate(tasks):
+        groups.setdefault((abs(mode.m), mode.family), []).append(t)
+    n_rows = rates.series_rows(ModeCatalog(modes), dipole_axial, ybii_eta)
+    assert sorted((len(idx) >= n_rows[n], len(idx))
+                  for (n, _), idx in groups.items()) \
+        == [(False, 3), (False, 6), (True, 20)]
+
+    zs = [-7.5, 0.0, 3.1]
+    captured = []
+    refine = rates.refine
+
+    def capturing_refine(estimate, *args):
+        def captured_estimate(u, wk, wg):
+            captured.append(((u, wk, wg), estimate(u, wk, wg)))
+            return captured[-1][1]
+        return refine(captured_estimate, *args)
+
+    # every call gets the catalog's first grid, so single tasks reuse its nodes
+    n_osc = oscillation_count(max(abs(m.kappa) for m in modes), 7.5, 0.0)
+    monkeypatch.setattr(rates, "oscillation_count", lambda *args: n_osc)
+    monkeypatch.setattr(rates, "refine", capturing_refine)
+    T = rates._catalog_T(tasks, ybii_eta, zs, DEFAULT_QUADRATURE)
+    assert len(captured) == 1
+    (u, wk, wg), (est_k, est_g) = captured[0]
+    for idx in groups.values():
+        for t in idx:
+            single = rates._catalog_T([tasks[t]], ybii_eta, zs,
+                                      DEFAULT_QUADRATURE)[0]
+            assert np.max(np.abs(T[t] - single)) <= 1e-12 * T[idx].max()
+    monkeypatch.undo()
+
+    # the G7 sum of each path's first task, written out on the same nodes
+    s, c = np.cosh(u) ** -1, -np.tanh(u)
+    base = s**2 * numerics.taper_window(u) \
+        * np.exp(-(ybii_eta.eta_z**2 * c**2 + ybii_eta.eta_x**2 * s**2) / 2)
+    for t in (0, 20):
+        mode, sigma = tasks[t]
+        a = np.conj(spectrum.u_spectrum(mode, u)[SIGMAS.index(sigma)])
+        gauss = 0.0
+        for p, e_r, gamma in _series_terms(abs(mode.m - sigma), ybii_eta.eta_x,
+                                           ybii_eta.eta_z,
+                                           DEFAULT_QUADRATURE.rel_tol):
+            g = (wg * a * base * c**p * s**e_r) @ np.exp(-1j * np.outer(c, zs))
+            gauss = gauss + gamma * np.abs(g) ** 2
+        assert np.max(np.abs(est_g[t] - gauss)) <= 1e-12 * gauss.max()
+
+    # the dense oracle on a few tasks of each group
+    for idx in groups.values():
+        for t in (idx[0], idx[-1]):
+            dense = mode_contribution_direct(*tasks[t], ybii_eta, zs[0])
+            assert dense == pytest.approx(T[t, 0], rel=1e-8)

@@ -3,8 +3,9 @@
 The seed-0 anchor inputs of the benchmark workloads (perfbench/workloads.py,
 imported read-only) are replayed at one and two threads: their output files
 must be byte-identical and their values must match the frozen references in
-perfbench/reference/.  The field outputs must also be byte-identical across
-BLAS thread settings, which only fresh interpreters can change.
+perfbench/reference/.  The field and rate outputs must also be
+byte-identical across BLAS thread settings, which only fresh interpreters
+can change.
 """
 
 import json
@@ -60,11 +61,26 @@ def test_anchor_matches_frozen_reference(tmp_path, name):
     assert digests[1] == digests[2]
 
 
-def _field_bytes(blas_threads):
+# rate-scan and rate-point anchor digests, printed as one JSON line
+RATE_BYTES = """
+import json, sys, tempfile
+sys.path[:0] = [{src!r}, {bench!r}]
+import workloads as wl
+from spans import Tracer
+digests = {{}}
+for name in ("rate-scan", "rate-point"):
+    with tempfile.TemporaryDirectory() as out:
+        _, files = wl.run_anchor(wl.WORKLOADS[name], out, 1, Tracer())
+    digests.update((f"{{name}}/{{f}}", d) for f, d in files.items())
+print(json.dumps(digests))
+"""
+
+
+def _fresh_digests(script, blas_threads):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    code = FIELD_BYTES.format(src=str(ROOT / "src"), bench=str(BENCH))
+    code = script.format(src=str(ROOT / "src"), bench=str(BENCH))
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300,
                           check=True)
@@ -72,6 +88,16 @@ def _field_bytes(blas_threads):
 
 
 def test_field_bytes_independent_of_blas_threads():
-    single, default = _field_bytes("1"), _field_bytes(None)
+    single = _fresh_digests(FIELD_BYTES, "1")
+    default = _fresh_digests(FIELD_BYTES, None)
     assert len(single) == 19
+    assert single == default
+
+
+def test_rate_bytes_independent_of_blas_threads():
+    # the anchors' task groups are smaller than their series rows, so the
+    # engine's gemms are real and chunked below OpenBLAS's threading size
+    single = _fresh_digests(RATE_BYTES, "1")
+    default = _fresh_digests(RATE_BYTES, None)
+    assert len(single) == 5
     assert single == default

@@ -64,9 +64,9 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     One refine() over the whole request, sized by max|z| and max rho and
     graded by max|z|, with one convergence scale per sigma channel.  Each
     grid builds the spectrum once and one J_|n|(rho s) table per distinct
-    |n| (J_{-n} = (-1)^n J_n), in tiles of _BLOCK rho and z values.  The
-    node sums run in einsum, not in threaded BLAS, so the bits do not
-    depend on the BLAS thread count.
+    |n| (J_{-n} = (-1)^n J_n), in tiles of _BLOCK rho and z values whose
+    buffers are allocated once per grid.  The node sums run in einsum, not
+    in threaded BLAS, so the bits do not depend on the BLAS thread count.
     """
     rho, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (rho, z))
     ns = [mode.m - sigma for sigma in SIGMAS]
@@ -75,18 +75,29 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     def estimate(u, wk, wg):
         s, c = sin_cos_theta(u)
         a = sign * np.array(u_spectrum(mode, u)) * (s**2 * taper_window(u))
-        w = np.stack((wk, wg))[:, None, :]
         out = np.empty((2, 3, len(z), len(rho)), dtype=complex)
+        # tile buffers, once per grid; a short last tile uses their leading rows
+        A_buf = np.empty((3, min(_BLOCK, len(rho)), len(u)), dtype=complex)
+        arg_buf = np.empty((min(_BLOCK, len(z)), len(u)))
+        phase_buf = np.empty((2,) + arg_buf.shape, dtype=complex)
         for r in range(0, len(rho), _BLOCK):
             rb = slice(r, r + _BLOCK)
             x = np.multiply.outer(rho[rb], s)
             J = {k: bessel_j(k, x) for k in {abs(n) for n in ns}}
-            A = np.stack([J[abs(n)] * a_n for n, a_n in zip(ns, a)])
+            A = A_buf[:, :len(x)]
+            for A_n, n, a_n in zip(A, ns, a):
+                np.multiply(J[abs(n)], a_n, out=A_n)
             for q in range(0, len(z), _BLOCK):
                 zb = slice(q, q + _BLOCK)
-                phase = w * np.exp(1j * np.multiply.outer(z[zb], c))
-                out[:, :, zb, rb] = np.einsum("srn,kzn->kszr", A, phase,
-                                              optimize=False)
+                arg = np.multiply.outer(z[zb], c, out=arg_buf[:len(z[zb])])
+                # (Kronrod, Gauss) weights times e^{i z cos theta}
+                phase = phase_buf[:, :len(arg)]
+                np.cos(arg, out=phase[1].real)
+                np.sin(arg, out=phase[1].imag)
+                np.multiply(phase[1], wk, out=phase[0])
+                np.multiply(phase[1], wg, out=phase[1])
+                np.einsum("srn,kzn->kszr", A, phase, out=out[:, :, zb, rb],
+                          optimize=False)
         return out[0], out[1]
 
     zmax = float(np.abs(z).max())
@@ -132,8 +143,11 @@ def stationary_phase_angle(kappa, z):
 
 
 def stationary_phase_prefactor(kappa, z):
-    """Asymptotic amplitude factor sqrt(pi / (|z| sqrt(1 + 2 kappa / z)))."""
-    return np.sqrt(np.pi / (abs(z) * np.sqrt(1.0 + 2.0 * kappa / z)))
+    """Asymptotic amplitude factor sqrt(pi / (|z| sqrt(1 + 2 kappa / z))):
+    inf at the caustic z = -2 kappa, where the curvature vanishes, and NaN
+    beyond it, where no stationary angle exists."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.sqrt(np.pi / (abs(z) * np.sqrt(1.0 + 2.0 * kappa / z)))
 
 
 def stationary_phase_field(mode: ModeParams, position):
@@ -142,18 +156,19 @@ def stationary_phase_field(mode: ModeParams, position):
     Sums the interior stationary angles theta_sp and pi - theta_sp of the
     phase z cos(theta) - 2 kappa ln tan(theta/2).  Near the caustic
     |z| ~ 2|kappa| the curvature vanishes and the estimate degrades; at
-    infeasible points a zero-amplitude sample flagged feasible=False is
-    returned rather than a fabricated peak.
+    infeasible points, and on the caustic itself, where the prefactor is
+    infinite, a zero-amplitude sample flagged feasible=False is returned
+    rather than a fabricated peak.
     """
     rho, phi, z = (float(x) for x in position)
     if abs(z) < 20:
         warnings.warn("stationary-phase estimate requested at |z| < 20 c/omega; "
                       "asymptotics are unreliable this close to the focal plane")
     theta_sp = stationary_phase_angle(mode.kappa, z)
-    if theta_sp is INFEASIBLE:
+    pref = stationary_phase_prefactor(mode.kappa, z)
+    if theta_sp is INFEASIBLE or not np.isfinite(pref):
         comps = {s: 0.0 + 0.0j for s in SIGMAS}
         return FieldSample((rho, phi, z), comps, feasible=False)
-    pref = stationary_phase_prefactor(mode.kappa, z)
     comps = {}
     for sigma in SIGMAS:
         prof = sigma_profile(mode, sigma)

@@ -212,17 +212,29 @@ def theta_from_u(u):
     return 2.0 * np.arctan(np.exp(u))
 
 
-# special-function wrapper -- scipy provides the evaluations; the series
-# forms in paramodes.oracles back them in the validation suite
+# special-function wrapper -- scipy provides j0, j1 and jv, and orders 0 to
+# +-2 are built from j0/j1 alone; the series forms in paramodes.oracles back
+# them in the validation suite
 
 def bessel_j(n, x):
-    """Bessel J_n of scalar order n: scipy.special.j0/j1 for n = 0 and +-1
-    (J_{-1} = -J_1), an order of magnitude faster than jv, and jv
-    otherwise."""
+    """Bessel J_n of scalar order n at x (scalar in, scalar out).
+
+    Orders 0 and +-1 call scipy.special.j0/j1 (J_{-1} = -J_1), an order of
+    magnitude faster than jv.  Orders +-2 use the upward recurrence
+    J_2(x) = 2 J_1(x) / x - J_0(x) (J_{-2} = J_2), with J_2(0) = 0 set
+    exactly; its error is absolute, within a few ulps of 1 for any x.
+    Upward recurrence loses accuracy for x < n from order 3 on, so those
+    orders keep jv.
+    """
     # imported here, so that only field evaluations load scipy
     from scipy import special as _sp
     if n == 0:
         return _sp.j0(x)
     if n == 1 or n == -1:
         return n * _sp.j1(x)
+    if n == 2 or n == -2:
+        x = np.asarray(x, dtype=float)
+        at_zero = x == 0
+        j2 = 2.0 * _sp.j1(x) / np.where(at_zero, 1.0, x) - _sp.j0(x)
+        return np.where(at_zero, 0.0, j2)[()]
     return _sp.jv(n, x)

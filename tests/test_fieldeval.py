@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,16 @@ def test_stationary_phase_infeasible_is_flagged_zero():
     assert est.intensity == 0.0
 
 
+def test_stationary_phase_at_the_caustic_is_flagged_zero():
+    # z = -2 kappa: the sine ratio is exactly 1 and the prefactor infinite
+    mode = ModeParams(omega=1.0, m=1, kappa=-15.0, family="E")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = stationary_phase_field(mode, (0.5, 0.0, 30.0))
+    assert not est.feasible
+    assert est.intensity == 0.0
+
+
 def test_stationary_phase_matches_far_field():
     mode = _axial_mode(-5.6)
     est = stationary_phase_field(mode, (0.0, 0.0, 70.0))
@@ -214,12 +225,20 @@ def test_intensity_map_rejects_unknown_component(monkeypatch):
 
 
 def test_field_kernel_blocks_match_single_block(monkeypatch):
+    # with _BLOCK = 2, the last rho tile (5 values) and z tile (7 values)
+    # are short, so they run on partial views of the tile buffers
     mode = ModeParams(omega=1.0, m=1, kappa=-0.64, family="E")
     rho, zs = np.linspace(0.0, 2.0, 5), np.linspace(-0.5, 3.0, 7)
-    whole, _ = intensity_map(mode, "total", rho, zs)
+    xy = np.array([-2.0, -0.5, 0.0, 1.0, 2.0])
+
+    def views():
+        return (intensity_map(mode, "total", rho, zs)[0],
+                isointensity_grid(mode, 0.5, xy, xy, zs)[0],
+                axis_intensity_scan(mode, zs))
+    whole = views()
     monkeypatch.setattr(fieldeval, "_BLOCK", 2)
-    tiled, _ = intensity_map(mode, "total", rho, zs)
-    assert np.max(np.abs(tiled - whole)) <= 1e-13 * np.max(whole)
+    for tiled, ref in zip(views(), whole):
+        assert np.max(np.abs(tiled - ref)) <= 1e-13 * np.max(ref)
 
 
 def test_field_kernel_grades_by_its_largest_z(monkeypatch):

@@ -159,10 +159,14 @@ def test_bessel_j_against_series():
     x = np.linspace(0.0, 2.0, 9)
     for n in range(-3, 4):
         assert np.allclose(bessel_j(n, x), bessel_j_series(n, x), rtol=1e-12, atol=1e-14)
-    # orders 0 and +-1 go through j0/j1 (J_{-1} = -J_1); they match jv
+    # orders 0, +-1 and +-2 go through j0/j1 (J_{-1} = -J_1, and J_{+-2}
+    # from the recurrence 2 J_1 / x - J_0); they match jv
     x = np.linspace(0.0, 80.0, 4001)
-    for n in (0, 1, -1):
+    for n in (0, 1, -1, 2, -2):
         assert np.max(np.abs(bessel_j(n, x) - jv(n, x))) <= 2e-15
+    assert bessel_j(2, 0.0) == 0.0
+    assert np.ndim(bessel_j(2, 1.5)) == 0
+    assert np.array_equal(bessel_j(-2, x), bessel_j(2, x))
 
 
 def test_bessel_i_against_series():

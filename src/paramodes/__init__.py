@@ -10,7 +10,6 @@ c/omega units; rates are reported relative to the free-space rate.
 from .core import (
     ModeParams,
     IonSpec,
-    TrapSpec,
     DipoleSpec,
     to_dimensionless,
     from_dimensionless,
@@ -24,6 +23,7 @@ from .fieldeval import (
     stationary_phase_field,
     intensity_map,
     isointensity_grid,
+    axis_intensity_scan,
 )
 from .trap import LambDicke, lamb_dicke
 from .rates import (

@@ -113,29 +113,6 @@ class IonSpec:
 
 
 @dataclass(frozen=True)
-class TrapSpec:
-    """Harmonic trap: center (c/omega units) and secular frequencies (rad/s)."""
-
-    center: tuple = (0.0, 0.0, 0.0)
-    lambda_x: float = 1.0
-    lambda_y: float = 1.0
-    lambda_z: float = 1.0
-
-    def __post_init__(self):
-        if min(self.lambda_x, self.lambda_y, self.lambda_z) <= 0:
-            raise ValueError("secular frequencies must be positive")
-        object.__setattr__(self, "center", tuple(float(x) for x in self.center))
-
-    @property
-    def axisymmetric(self):
-        return self.lambda_x == self.lambda_y
-
-    @property
-    def on_axis(self):
-        return self.center[0] == 0.0 and self.center[1] == 0.0
-
-
-@dataclass(frozen=True)
 class DipoleSpec:
     """Transition-dipole direction; only the direction enters rate ratios."""
 

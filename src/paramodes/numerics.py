@@ -10,11 +10,13 @@ Gaussians regularize them).
 
 Integration is composite 15-point Kronrod with the embedded 7-point Gauss
 rule as error estimate.  The initial panel count is PANELS_PER_OSCILLATION
-times the phase oscillation count; refinement doubles the panel count
-globally, which keeps results deterministic and vectorizes over many
-integrands at once.  Panel edges always fall on the taper knees, where the
-taper's second derivative jumps, and the axial phase z cos(theta) of a
-field or a rate grades the panels toward u = 0, where its oscillations crowd.
+times the phase oscillation count, at least MIN_PANELS; refinement doubles
+the panel count globally, which keeps results deterministic and vectorizes
+over many integrands at once.  Only the tolerance is a setting
+(QuadratureConfig); panel counts are module constants.  Panel edges always
+fall on the taper knees, where the taper's second derivative jumps, and the
+axial phase z cos(theta) of a field or a rate grades the panels toward
+u = 0, where its oscillations crowd.
 """
 
 from dataclasses import dataclass
@@ -25,8 +27,15 @@ import numpy as np
 WINDOW = 12.0
 TAPER_FRACTION = 0.2
 KNEE = (1.0 - TAPER_FRACTION) * WINDOW
-# first-grid panels per phase oscillation; refine() doubles them as needed
+# first-grid panels per phase oscillation, and the fewest first-grid
+# panels; refine() doubles them at most MAX_REFINEMENTS times
 PANELS_PER_OSCILLATION = 2.0
+MIN_PANELS = 24
+MAX_REFINEMENTS = 8
+# the most panels of any grid: 245,760 nodes keep the field kernel's tile
+# buffers, about 3.5 KB a node, under 1 GB.  The bundled presets, the
+# benchmark and the test suite reach at most 3,500 panels.
+MAX_PANELS = 16_384
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
 # 7-point Gauss weights; standard QUADPACK dqk15 constants.
@@ -70,20 +79,13 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and panel counts of the angular quadratures."""
+    """Relative tolerance of the angular quadratures."""
 
     rel_tol: float = 1e-9
-    max_refinements: int = 8
-    min_panels: int = 24
 
     def __post_init__(self):
         if not 0 < self.rel_tol <= 1e-2:
             raise ValueError("rel_tol must lie in (0, 1e-2]")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be nonnegative")
-        if self.min_panels < 3:
-            raise ValueError("min_panels must be >= 3: a panel per taper "
-                             "and one between the knees")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -100,7 +102,7 @@ def panel_nodes(n_panels, a, b):
     return u, wk, wg
 
 
-def window_nodes(n_panels, cfg=DEFAULT_QUADRATURE, z=0.0, n_oscillations=0.0):
+def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
     """Composite K15 nodes and (Kronrod, Gauss) weights over |u| <= WINDOW,
     with panel edges on the taper knees +-KNEE, where the taper's second
     derivative jumps, so no panel straddles a knee; n_panels >= 3.
@@ -114,7 +116,7 @@ def window_nodes(n_panels, cfg=DEFAULT_QUADRATURE, z=0.0, n_oscillations=0.0):
     (the kappa and rho phases) spread evenly.  Segments then get panels in
     proportion to the increase of (ppo = PANELS_PER_OSCILLATION)
 
-        G(u) = (ppo rest + min_panels) u / (2W) + ppo |z| tanh(u) / 2pi,
+        G(u) = (ppo rest + MIN_PANELS) u / (2W) + ppo |z| tanh(u) / 2pi,
         rest = n_oscillations - |z| / pi,
 
     and inside each segment the edges equidistribute G.
@@ -130,7 +132,7 @@ def window_nodes(n_panels, cfg=DEFAULT_QUADRATURE, z=0.0, n_oscillations=0.0):
 
     ppo = PANELS_PER_OSCILLATION
     rest = max(n_oscillations - abs(z) / np.pi, 0.0)
-    alpha = (ppo * rest + cfg.min_panels) / (2 * W)
+    alpha = (ppo * rest + MIN_PANELS) / (2 * W)
     beta = ppo * abs(z) / (2 * np.pi)
 
     def G(u):
@@ -187,20 +189,30 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
     to rel_tol of that row's largest Kronrod magnitude, plus an absolute
     floor; an estimate with ndim <= 1 is one row.  Returns
     (Kronrod estimate, largest residual).
+
+    No grid exceeds MAX_PANELS: a first grid above it raises ValueError
+    before any node is built, and a doubling past it QuadratureError.
     """
-    n_panels = max(cfg.min_panels,
+    n_panels = max(MIN_PANELS,
                    int(np.ceil(n_oscillations * PANELS_PER_OSCILLATION)))
-    for _ in range(cfg.max_refinements + 1):
-        est_k, est_g = estimate(*window_nodes(n_panels, cfg, z,
-                                              n_oscillations))
+    if n_panels > MAX_PANELS:
+        raise ValueError(
+            f"{n_oscillations:.4g} phase oscillations need a first grid of "
+            f"{n_panels} panels, above the cap MAX_PANELS = {MAX_PANELS}")
+    for refinements in range(MAX_REFINEMENTS + 1):
+        est_k, est_g = estimate(*window_nodes(n_panels, z, n_oscillations))
         rows = len(est_k) if np.ndim(est_k) > 1 else 1
         resid = np.abs(est_k - est_g).reshape(rows, -1).max(axis=1, initial=0.0)
         scale = np.abs(est_k).reshape(rows, -1).max(axis=1, initial=0.0)
         if np.all(resid <= cfg.rel_tol * np.maximum(scale, 1e-30) + 1e-15):
             return est_k, float(resid.max())
+        if 2 * n_panels > MAX_PANELS:
+            break
         n_panels *= 2
-    raise QuadratureError("quadrature did not converge after "
-                          f"{cfg.max_refinements} refinements", float(resid.max()))
+    capped = (f"; {2 * n_panels} panels would pass MAX_PANELS = {MAX_PANELS}"
+              if refinements < MAX_REFINEMENTS else "")
+    raise QuadratureError(f"quadrature did not converge after {refinements} "
+                          f"refinements{capped}", float(resid.max()))
 
 
 def sin_cos_theta(u):

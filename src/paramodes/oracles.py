@@ -18,6 +18,12 @@ slower route, or checks a property the production code relies on:
   Bessel functions, the first two as power series;
 - `u_from_theta` and `integrate_adaptive`: the inverse angle map and a
   front end to `refine` for plain integrands.
+
+A configuration builds only a `LambDicke(eta_x, eta_z)`, radial and axial,
+which the engines and `mode_contribution_direct` take.  Anisotropic
+confinement stays in the oracles as explicit Cartesian triples
+(eta_x, eta_y, eta_z): `form_factor` and `mode_contribution_general` take
+those.
 """
 
 import warnings
@@ -159,13 +165,14 @@ def _check_unit(k):
     return k
 
 
-def form_factor(khat, khat_prime, eta: LambDicke, center=(0.0, 0.0, 0.0)):
-    """Ground-state form factor g(k, k'); center in c/omega units."""
+def form_factor(khat, khat_prime, eta_xyz, center=(0.0, 0.0, 0.0)):
+    """Ground-state form factor g(k, k') for Lamb-Dicke parameters
+    eta_xyz = (eta_x, eta_y, eta_z); center in c/omega units."""
     k = _check_unit(khat)
     kp = _check_unit(khat_prime)
     d = k - kp
     phase = np.exp(1j * np.dot(d, np.asarray(center, dtype=float)))
-    eta2 = np.array([eta.eta_x, eta.eta_y, eta.eta_z]) ** 2
+    eta2 = np.asarray(eta_xyz, dtype=float) ** 2
     gauss = np.exp(-0.5 * np.sum(eta2 * d**2))
     return phase * gauss
 
@@ -174,7 +181,7 @@ def azimuthal_pair_integral(n, n_prime, eta_x, theta, theta_prime):
     """Closed form of the double azimuthal integral of the form factor.
 
     Integrating e^{-i n phi + i n' phi'} against the phi - phi' dependence
-    of an axisymmetric g gives (2 pi)^2 delta_{n n'} I_{|n|}(eta_x^2
+    of an axially symmetric g gives (2 pi)^2 delta_{n n'} I_{|n|}(eta_x^2
     sin theta sin theta').  The Gaussian prefactors that depend on theta
     alone are not included here; they stay with the theta integrand.
     """
@@ -211,8 +218,6 @@ def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
     Tiny negative results from quadrature noise are clamped to zero; a
     negative part beyond 1e-10 of the diagonal scale raises.
     """
-    if not eta.axisymmetric:
-        raise NotImplementedError("direct path assumes eta_x == eta_y")
     z_center = float(z_center)
     n = mode.m - sigma
 
@@ -247,7 +252,7 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
     Expands each Cartesian-axis Gaussian of the form factor separately:
     T = sum_P gamma_P |B_P|^2 over multi-indices P = (px, py, pz) with
     |P| <= order, each B_P a two-dimensional angular integral.  Slow but
-    fully general; the axisymmetric on-axis engine is the fast path.
+    fully general; the on-axis engine of `rates` is the fast path.
     """
     ex, ey, ez = (float(e) for e in eta_xyz)
     x0, y0, z0 = (float(x) for x in center)

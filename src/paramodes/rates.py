@@ -303,10 +303,6 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     the Gauss estimate rescales the leading ng nodes by wg / wk and reads
     no node of Gauss weight zero.
     """
-    if not eta.axisymmetric:
-        raise NotImplementedError(
-            "the rate engine assumes eta_x == eta_y; anisotropic traps have "
-            "only the slow paramodes.oracles.mode_contribution_general")
     z_values = np.asarray(z_values, dtype=float)
     if not np.isfinite(z_values).all():
         raise ValueError(f"trap-center z values must be finite: {z_values}")

@@ -6,17 +6,20 @@ ground-state ion, to the Gaussian form factor
     g(k, k') = e^{i (k - k') . X0}  prod_i  e^{-eta_i^2 (k_i - k_i')^2 / 2}
 
 with X0 the trap center in c/omega units and eta_i the Lamb-Dicke
-parameters.  For an axisymmetric trap the azimuthal pair integral of
-g against winding phases collapses to a modified Bessel function, which is
-what makes the on-axis rate path one-dimensional per angle.  The rate
-engine uses the expanded kernel; the form factor itself and its azimuthal
-closed form are reference paths in `paramodes.oracles`.
+parameters.  The trap has one radial and one axial secular frequency, so
+g is symmetric about the axis and its azimuthal pair integral against
+winding phases collapses to a modified Bessel function, which is what
+makes the on-axis rate path one-dimensional per angle.  `LambDicke` holds
+the radial eta_x, shared by both transverse axes, and the axial eta_z.
+The rate engine uses the expanded kernel; the form factor itself, its
+azimuthal closed form and an expansion for anisotropic confinement are
+reference paths in `paramodes.oracles`.
 """
 
 from dataclasses import dataclass
 import numpy as np
 
-from .core import TrapSpec, HBAR, C_LIGHT
+from .core import HBAR, C_LIGHT
 
 
 def lamb_dicke(omega_gamma, mass, lambda_i):
@@ -28,16 +31,14 @@ def lamb_dicke(omega_gamma, mass, lambda_i):
 
 @dataclass(frozen=True)
 class LambDicke:
+    """Radial eta_x, shared by both transverse axes, and axial eta_z."""
+
     eta_x: float
-    eta_y: float
     eta_z: float
 
     @classmethod
-    def from_trap(cls, trap: TrapSpec, omega_gamma, mass):
-        return cls(lamb_dicke(omega_gamma, mass, trap.lambda_x),
-                   lamb_dicke(omega_gamma, mass, trap.lambda_y),
-                   lamb_dicke(omega_gamma, mass, trap.lambda_z))
-
-    @property
-    def axisymmetric(self):
-        return self.eta_x == self.eta_y
+    def from_trap(cls, omega_gamma, mass, radial, axial):
+        """From the transition frequency, the ion mass and the radial and
+        axial secular frequencies (rad/s)."""
+        return cls(lamb_dicke(omega_gamma, mass, radial),
+                   lamb_dicke(omega_gamma, mass, axial))

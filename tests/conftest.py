@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from paramodes.core import IonSpec, TrapSpec, DipoleSpec, ATOMIC_MASS
+from paramodes.core import IonSpec, DipoleSpec, ATOMIC_MASS
 from paramodes.trap import LambDicke
 
 TWO_PI = 2.0 * np.pi
@@ -14,10 +14,8 @@ def ybii_ion():
 
 @pytest.fixture(scope="session")
 def ybii_eta(ybii_ion):
-    trap = TrapSpec(center=(0.0, 0.0, 0.0),
-                    lambda_x=TWO_PI * 230e3, lambda_y=TWO_PI * 230e3,
-                    lambda_z=TWO_PI * 480e3)
-    return LambDicke.from_trap(trap, ybii_ion.omega, ybii_ion.mass)
+    return LambDicke.from_trap(ybii_ion.omega, ybii_ion.mass,
+                              TWO_PI * 230e3, TWO_PI * 480e3)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import ai_zeros
 
 from paramodes.core import (
-    ModeParams, IonSpec, TrapSpec, DipoleSpec, ATOMIC_MASS, SIGMAS,
+    ModeParams, IonSpec, DipoleSpec, ATOMIC_MASS, SIGMAS,
 )
 from paramodes.trap import LambDicke
 from paramodes.numerics import DEFAULT_QUADRATURE
@@ -193,10 +193,8 @@ def test_criterion_06_enhancement_profile(ybii_scan):
 def test_criterion_07_stiffer_trap_floor(ybii_ion):
     raw = load_preset("ybIII")
     ion = IonSpec("YbIII", 171.0 * ATOMIC_MASS, 251e-9)
-    trap = TrapSpec(center=(0.0, 0.0, 0.0),
-                    lambda_x=2 * np.pi * 460e3, lambda_y=2 * np.pi * 460e3,
-                    lambda_z=2 * np.pi * 960e3)
-    eta = LambDicke.from_trap(trap, ion.omega, ion.mass)
+    eta = LambDicke.from_trap(ion.omega, ion.mass,
+                              2 * np.pi * 460e3, 2 * np.pi * 960e3)
     dipole = DipoleSpec((0.0, 0.0, 1.0))
     catalog = build_catalog(raw["catalog"], ion.omega)
     catalog = calibrate(catalog, dipole, eta,
@@ -283,7 +281,7 @@ def test_criterion_10_property_suite(ybii_eta, dipole_axial, dipole_transverse,
     notes.append("sigma selection ok")
 
     # point-trap factorization
-    eta0 = LambDicke(1e-9, 1e-9, 1e-9)
+    eta0 = LambDicke(1e-9, 1e-9)
     mode = ModeParams(omega=1.0, m=0, kappa=0.64, family="E")
     t0 = mode_contribution(mode, 0, eta0, -3.0)
     i0 = abs(field_at_point(mode, (0.0, 0.0, -3.0)).sigma_components[0]) ** 2

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paramodes
-from paramodes import rates
+from paramodes import numerics, rates
 from paramodes.cli import main, RunConfig, build_parser, _load_config, _merge
 from paramodes.io import config_hash, format_float, write_csv
 from paramodes.presets import load_preset, preset_names
@@ -213,6 +214,55 @@ def test_validate_fuzzed_config_exits_cleanly(preset, payload):
         if preset:
             argv += ["--preset", preset]
         assert main(argv) in (0, 1, 2)
+
+
+def test_readme_library_example_runs():
+    # the README's `## Library` python block, as a user would paste it
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        section = fh.read().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S)[1]
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("command, preset, overlay", [
+    ("field-map", "fig1a", {"mode": {"kappa": 3e6}}),
+    ("rate-scan", "ybII", {"calibration_window": [1e9, 1.00000004e9, 5e6]}),
+])
+def test_oversized_grid_is_named_failure(tmp_path, capsys, monkeypatch,
+                                         command, preset, overlay):
+    # the panel cap stops both before a node is built; uncapped, their
+    # first grids ask for gigabytes
+    def no_nodes(*args):
+        raise AssertionError("window_nodes ran for an oversized grid")
+
+    monkeypatch.setattr(numerics, "window_nodes", no_nodes)
+    out = tmp_path / "out.csv"
+    assert main([command, "--preset", preset, "--out", str(out), "--config",
+                 _write(tmp_path, "big.json", overlay)]) == 1
+    err = capsys.readouterr().err
+    assert "phase oscillations need a first grid" in err
+    assert "MAX_PANELS" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_failed_field_quadrature_exits_1_and_writes_no_file(
+        tmp_path, capsys, monkeypatch):
+    # a first grid far too coarse for the phase, and no refinement
+    monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
+    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 0)
+    payload = {"mode": dict(TINY_MAP["mode"], kappa=-10.4),
+               "map": dict(TINY_MAP["map"], z_center=21.0, z_half_span=3.0)}
+    cfg = _write(tmp_path, "map.json", payload)
+    for command in ("field-map", "isosurface"):
+        out = tmp_path / f"{command}.out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_missing_section_is_failure(tmp_path, capsys):

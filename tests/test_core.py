@@ -3,7 +3,7 @@ import pytest
 
 from paramodes.core import (
     HBAR, C_LIGHT, EPS0, ATOMIC_MASS, SIGMAS,
-    ModeParams, IonSpec, TrapSpec, DipoleSpec,
+    ModeParams, IonSpec, DipoleSpec,
     to_dimensionless, from_dimensionless,
     circular_components, cartesian_from_circular, dot_circular,
 )
@@ -92,13 +92,6 @@ def test_winding_number():
 
 def test_ion_transition_frequency(ybii_ion):
     assert ybii_ion.omega == pytest.approx(2 * np.pi * C_LIGHT / 369.5e-9, rel=1e-15)
-
-
-def test_trap_flags():
-    t = TrapSpec(center=(0, 0, 0), lambda_x=1.0, lambda_y=1.0, lambda_z=2.0)
-    assert t.axisymmetric and t.on_axis
-    t2 = TrapSpec(center=(1.0, 0, 0), lambda_x=1.0, lambda_y=1.5, lambda_z=2.0)
-    assert not t2.axisymmetric and not t2.on_axis
 
 
 def test_dipole_weights_axial(dipole_axial):

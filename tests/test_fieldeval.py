@@ -1,5 +1,4 @@
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from paramodes import fieldeval, load_preset
 from paramodes.core import ModeParams, SIGMAS
 from paramodes import numerics
-from paramodes.numerics import DEFAULT_QUADRATURE, refine
+from paramodes.numerics import QuadratureConfig, refine
 from paramodes.fieldeval import (
     field_at_point, localization_plane,
     stationary_phase_angle, stationary_phase_field, stationary_phase_prefactor,
@@ -89,7 +88,7 @@ def test_axis_peak_near_localization_plane_small_kappa():
     assert abs(z_peak - 1.28) <= 2.0
 
 
-def test_axis_scan_consistent_with_pointwise():
+def test_axis_scan_consistent_with_pointwise(monkeypatch):
     mode = _axial_mode(1.3)
     zs = np.array([-4.0, -2.6, 0.5])
     scan = axis_intensity_scan(mode, zs)
@@ -97,19 +96,19 @@ def test_axis_scan_consistent_with_pointwise():
         point = abs(field_at_point(mode, (0.0, 0.0, z)).sigma_components[0]) ** 2
         assert val == pytest.approx(point, rel=1e-10)
     # the map's channels and metric against pointwise samples; each point
-    # grades its own grid by its |z|, and min_panels makes every grid fine
+    # grades its own grid by its |z|, and MIN_PANELS makes every grid fine
     # enough that the grids' differences stay at round-off
-    cfg = replace(DEFAULT_QUADRATURE, min_panels=240)
+    monkeypatch.setattr(numerics, "MIN_PANELS", 240)
     mode = ModeParams(omega=1.0, m=1, kappa=-0.64, family="E")
     rho, zs = np.array([0.0, 0.6, 1.3]), np.array([-1.0, 0.4, 1.5])
-    grid, mask = intensity_map(mode, "total", rho, zs, cfg)
-    point = np.array([[field_at_point(mode, (r, 0.3, z), cfg).intensity
+    grid, mask = intensity_map(mode, "total", rho, zs)
+    point = np.array([[field_at_point(mode, (r, 0.3, z)).intensity
                        for r in rho] for z in zs])
     assert not mask.any()
     assert np.max(np.abs(grid - point / point.max())) <= 1e-12
 
 
-def test_fig1e_axis_scan_converged():
+def test_fig1e_axis_scan_converged(monkeypatch):
     # the default 92-panel grid straddled the taper knee before panel edges
     # were put on it, and missed this reference by 1.25e-11 of max
     raw = load_preset("fig1e")
@@ -118,8 +117,8 @@ def test_fig1e_axis_scan_converged():
                      mp["z_center"] + mp["z_half_span"], mp["n_z"])
     got = axis_intensity_scan(mode, zs)
     # no fewer panels than the 365 of the 40-per-oscillation grid
-    ref = axis_intensity_scan(mode, zs, replace(
-        DEFAULT_QUADRATURE, min_panels=400, rel_tol=1e-11))
+    monkeypatch.setattr(numerics, "MIN_PANELS", 400)
+    ref = axis_intensity_scan(mode, zs, QuadratureConfig(rel_tol=1e-11))
     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(ref)
 
 
@@ -208,10 +207,10 @@ def test_intensity_map_failure_masks_whole_grid(monkeypatch):
     # a graded first grid at the default density converges by design, so
     # the failure needs a first grid far too coarse for the phase
     monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
-    cfg = replace(DEFAULT_QUADRATURE, max_refinements=0)
+    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 0)
     mode = ModeParams(omega=1.0, m=0, kappa=-10.4, family="E")
     grid, mask = intensity_map(mode, "total", np.linspace(0.0, 2.0, 3),
-                               np.linspace(18.0, 24.0, 4), cfg)
+                               np.linspace(18.0, 24.0, 4))
     assert grid.shape == mask.shape == (4, 3)
     assert np.isnan(grid).all() and mask.all()
 

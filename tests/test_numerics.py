@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from paramodes import numerics
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE, WINDOW,
-    TAPER_FRACTION, KNEE, PANELS_PER_OSCILLATION, panel_nodes, window_nodes, taper_window,
+    TAPER_FRACTION, KNEE, PANELS_PER_OSCILLATION, MIN_PANELS, MAX_REFINEMENTS,
+    MAX_PANELS, panel_nodes, window_nodes, taper_window, refine,
     sin_cos_theta, theta_from_u, bessel_j, oscillation_count,
 )
 from paramodes.oracles import (
@@ -43,30 +45,55 @@ def test_oscillatory_closed_form():
         assert resid >= 0.0
 
 
-def test_adaptive_refinement_reaches_tolerance():
-    cfg = replace(DEFAULT_QUADRATURE, min_panels=4)
+def test_adaptive_refinement_reaches_tolerance(monkeypatch):
+    monkeypatch.setattr(numerics, "MIN_PANELS", 4)
 
     def values(u):
         return np.cos(5.0 * u) * np.exp(-u**2)
-    est, _ = integrate_adaptive(values, 1.0, cfg)
+    est, _ = integrate_adaptive(values, 1.0)
     want = np.sqrt(np.pi) * np.exp(-25.0 / 4.0)
     assert float(np.real(est)) == pytest.approx(want, rel=1e-9)
 
     # each row of the leading axis converges on its own scale
     def rows(u):
         return np.stack([np.full_like(u, 1e6), values(u)])[:, None, :]
-    est, _ = integrate_adaptive(rows, 1.0, cfg)
+    est, _ = integrate_adaptive(rows, 1.0)
     assert float(np.real(est[1, 0])) == pytest.approx(want, rel=1e-9)
 
 
-def test_quadrature_failure_raises_with_residual():
-    cfg = replace(DEFAULT_QUADRATURE, min_panels=3, max_refinements=0)
+def test_quadrature_failure_raises_with_residual(monkeypatch):
+    monkeypatch.setattr(numerics, "MIN_PANELS", 3)
+    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 0)
 
     def values(u):
         return np.cos(200.0 * u)
-    with pytest.raises(QuadratureError) as err:
-        integrate_adaptive(values, 1.0, cfg)
+    with pytest.raises(QuadratureError, match="after 0 refinements") as err:
+        integrate_adaptive(values, 1.0)
     assert err.value.residual > 0.0
+
+
+def test_oversized_first_grid_raises_before_any_node(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("nodes or estimate built for an oversized grid")
+    monkeypatch.setattr(numerics, "window_nodes", unreachable)
+    nosc = (MAX_PANELS + 1) / PANELS_PER_OSCILLATION
+    with pytest.raises(ValueError, match=f"{nosc:.4g} phase oscillations.*"
+                       f"{MAX_PANELS + 1} panels.*MAX_PANELS = {MAX_PANELS}"):
+        refine(unreachable, nosc)
+
+
+def test_doubling_past_the_panel_cap_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_PANELS", 2 * MIN_PANELS)
+    grids = []
+
+    def values(u):
+        grids.append(len(u) // 15)
+        return np.cos(200.0 * u)
+    with pytest.raises(QuadratureError, match="after 1 refinements; "
+                       f"{4 * MIN_PANELS} panels would pass") as err:
+        integrate_adaptive(values, 1.0)
+    assert err.value.residual > 0.0
+    assert grids == [MIN_PANELS, 2 * MIN_PANELS]
 
 
 def test_window_nodes_put_edges_on_taper_knees():
@@ -86,15 +113,14 @@ def test_window_nodes_put_edges_on_taper_knees():
 def _first_grid(kappa, z):
     """(n_panels, n_oscillations) of refine's first grid for a rate phase."""
     nosc = oscillation_count(kappa, z, 0.0)
-    return max(DEFAULT_QUADRATURE.min_panels,
-               int(np.ceil(nosc * PANELS_PER_OSCILLATION))), nosc
+    return max(MIN_PANELS, int(np.ceil(nosc * PANELS_PER_OSCILLATION))), nosc
 
 
 def test_graded_window_nodes_put_edges_on_taper_knees():
     for kappa, z in ((0.0, 3.0), (0.0, 160.0), (5.6, -40.0), (21.0, 140.0)):
         n_first, nosc = _first_grid(kappa, z)
         for n_panels in (n_first, 2 * n_first, 97):
-            u, wk, wg = window_nodes(n_panels, DEFAULT_QUADRATURE, z, nosc)
+            u, wk, wg = window_nodes(n_panels, z, nosc)
             assert len(u) == len(wk) == len(wg) == 15 * n_panels
             assert abs(float(wk.sum()) - 2 * WINDOW) <= 1e-14 * WINDOW
             panels = u.reshape(n_panels, 15)
@@ -119,7 +145,7 @@ def test_window_nodes_at_zero_z_are_the_knee_aligned_rule():
             (n_taper, knee, W))]
         want = [np.concatenate(arrays) for arrays in zip(*parts)]
         for got in (window_nodes(n_panels),
-                    window_nodes(n_panels, DEFAULT_QUADRATURE, 0.0, 40.0)):
+                    window_nodes(n_panels, 0.0, 40.0)):
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
 
@@ -133,7 +159,7 @@ def test_graded_first_grid_resolves_the_trap_phase():
     def error(u, wk, wg):
         return abs(complex(np.cosh(u) ** -2 * np.exp(1j * z * np.tanh(u)) @ wk)
                    - want)
-    assert error(*window_nodes(n_panels, DEFAULT_QUADRATURE, z, nosc)) <= 1e-12
+    assert error(*window_nodes(n_panels, z, nosc)) <= 1e-12
     assert error(*window_nodes(n_panels)) > 1e-6
 
 
@@ -180,15 +206,10 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.5)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_refinements=-1)
-    with pytest.raises(ValueError, match="min_panels"):
-        QuadratureConfig(min_panels=2)
-    with pytest.raises(ValueError, match="min_panels"):
-        replace(DEFAULT_QUADRATURE, min_panels=2)
+    with pytest.raises(ValueError, match="rel_tol"):
+        replace(DEFAULT_QUADRATURE, rel_tol=2e-2)
     cfg = replace(DEFAULT_QUADRATURE, rel_tol=1e-6)
     assert cfg.rel_tol == 1e-6
-    assert cfg.min_panels == DEFAULT_QUADRATURE.min_panels
-    assert [f.name for f in fields(QuadratureConfig)] == [
-        "rel_tol", "max_refinements", "min_panels"]
-    assert PANELS_PER_OSCILLATION == 2.0
+    # the tolerance is the one setting; panel counts are module constants
+    assert [f.name for f in fields(QuadratureConfig)] == ["rel_tol"]
+    assert (PANELS_PER_OSCILLATION, MIN_PANELS, MAX_REFINEMENTS) == (2.0, 24, 8)

@@ -13,7 +13,7 @@ from paramodes.trap import LambDicke
 from paramodes.fieldeval import field_at_point
 from paramodes import numerics
 from paramodes.numerics import (
-    DEFAULT_QUADRATURE, QuadratureError, oscillation_count,
+    DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, oscillation_count,
 )
 from paramodes import rates, spectrum
 from paramodes.rates import (
@@ -104,8 +104,7 @@ def test_catalog_requires_increasing_kappa():
 # the ybII ion at radial 230 kHz and axial 10 kHz: eta_z^2 = 0.85 needs
 # about 15 axial series terms where the preset trap needs 6; at
 # eta_z = 1.5 the terms grow up to p = 2 before they fall
-SOFT_ETAS = (LambDicke(0.19276, 0.19276, 0.92443),
-             LambDicke(0.19276, 0.19276, 1.5))
+SOFT_ETAS = (LambDicke(0.19276, 0.92443), LambDicke(0.19276, 1.5))
 
 
 def test_engine_paths_agree(ybii_eta):
@@ -124,7 +123,7 @@ def test_engine_paths_agree(ybii_eta):
         if eta in SOFT_ETAS:
             continue  # order 6 truncates the general expansion there
         general = mode_contribution_general(
-            mode, sigma, (eta.eta_x, eta.eta_y, eta.eta_z),
+            mode, sigma, (eta.eta_x, eta.eta_x, eta.eta_z),
             (0.0, 0.0, z), order=6)
         assert general == pytest.approx(fast, rel=1e-8)
 
@@ -147,21 +146,21 @@ def test_rate_paths_raise_when_refinement_is_exhausted(ybii_eta,
     # a graded first grid at the default density converges by design, so
     # the failure needs a first grid far too coarse for the phase
     monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
-    cfg = replace(DEFAULT_QUADRATURE, max_refinements=0)
+    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 0)
     mode = ModeParams(omega=1.0, m=0, kappa=5.6, family="E")
-    eta_xyz = (ybii_eta.eta_x, ybii_eta.eta_y, ybii_eta.eta_z)
+    eta_xyz = (ybii_eta.eta_x, ybii_eta.eta_x, ybii_eta.eta_z)
     for path in (
-            lambda: mode_contribution(mode, 0, ybii_eta, -11.2, cfg),
-            lambda: mode_contribution_direct(mode, 0, ybii_eta, -11.2, cfg),
+            lambda: mode_contribution(mode, 0, ybii_eta, -11.2),
+            lambda: mode_contribution_direct(mode, 0, ybii_eta, -11.2),
             lambda: mode_contribution_general(mode, 0, eta_xyz,
-                                              (0.0, 0.0, -11.2), cfg)):
+                                              (0.0, 0.0, -11.2))):
         with pytest.raises(QuadratureError) as err:
             path()
         assert err.value.residual > 0.0
 
 
 def test_point_trap_limit_reduces_to_field_intensity():
-    eta0 = LambDicke(1e-9, 1e-9, 1e-9)
+    eta0 = LambDicke(1e-9, 1e-9)
     mode = ModeParams(omega=1.0, m=0, kappa=0.64, family="E")
     for z in (-4.0, 1.5):
         t = mode_contribution(mode, 0, eta0, z)
@@ -288,16 +287,19 @@ def test_rate_scan_deterministic_across_threads(ybii_eta, dipole_axial,
                 assert a.family_totals == b.family_totals
 
 
-def test_total_rate_single_z_accuracy(ybii_eta, dipole_transverse):
+def test_total_rate_single_z_accuracy(ybii_eta, dipole_transverse,
+                                      monkeypatch):
     # the default grid against the same engine converged far past it
     cat = build_catalog(MIXED_RULE, omega=1.0)
     kmax = max(abs(mode.kappa) for mode in cat.modes)
+    converged = QuadratureConfig(rel_tol=1e-12)
     for z in (-40.0, -11.2, 0.0, 3.7, 140.0):
-        # no fewer panels than 40 per oscillation, 20 times the default
-        converged = replace(DEFAULT_QUADRATURE, rel_tol=1e-12, min_panels=int(
-            np.ceil(40.0 * oscillation_count(kmax, z, 0.0))))
         got = total_rate(cat, dipole_transverse, ybii_eta, z)
-        ref = total_rate(cat, dipole_transverse, ybii_eta, z, converged)
+        with monkeypatch.context() as m:
+            # no fewer panels than 40 per oscillation, 20 times the default
+            m.setattr(numerics, "MIN_PANELS", int(
+                np.ceil(40.0 * oscillation_count(kmax, z, 0.0))))
+            ref = total_rate(cat, dipole_transverse, ybii_eta, z, converged)
         bound = 1e-11 * ref.total
         assert abs(got.total - ref.total) <= bound
         for (_, a), (_, b) in zip(got.family_totals, ref.family_totals):

@@ -22,7 +22,7 @@ import numpy as np
 from .core import ModeParams, SIGMAS, cartesian_from_circular
 from .spectrum import sigma_profile, u_spectrum
 from .numerics import (
-    DEFAULT_QUADRATURE, QuadratureError, oscillation_count, refine,
+    DEFAULT_QUADRATURE, oscillation_count, refine,
     taper_window, sin_cos_theta, bessel_j,
 )
 
@@ -201,19 +201,15 @@ def intensity_map(mode: ModeParams, component, rho_values, z_values,
 
     component: one of 'z', '+', '-' (circular channels) or 'total'.
     Returns (map, mask) of shape (n_z, n_rho): map is |component|^2
-    normalized to its grid max.  The whole grid shares one quadrature, so if
-    it fails (QuadratureError) every value is NaN and every mask entry set.
+    normalized to its grid max.  The whole grid shares one quadrature, which
+    either converges or raises QuadratureError, so the mask is always False.
     """
     if component not in _COMPONENTS:
         raise ValueError(f"component {component!r} not in {list(_COMPONENTS)}")
-    shape = (np.size(z_values), np.size(rho_values))
-    try:
-        ints = _field_integrals(mode, rho_values, z_values, cfg)
-    except QuadratureError:
-        return np.full(shape, np.nan), np.ones(shape, dtype=bool)
-    raw = _intensity(ints, component)
+    raw = _intensity(_field_integrals(mode, rho_values, z_values, cfg),
+                     component)
     peak = raw.max()
-    return (raw / peak if peak > 0 else raw), np.zeros(shape, dtype=bool)
+    return (raw / peak if peak > 0 else raw), np.zeros(raw.shape, dtype=bool)
 
 
 def axis_intensity_scan(mode: ModeParams, z_values, cfg=DEFAULT_QUADRATURE):

@@ -13,13 +13,16 @@ rule as error estimate.  The initial panel count is PANELS_PER_OSCILLATION
 times the phase oscillation count, at least MIN_PANELS; refinement doubles
 the panel count globally, which keeps results deterministic and vectorizes
 over many integrands at once.  Only the tolerance is a setting
-(QuadratureConfig); panel counts are module constants.  Panel edges always
-fall on the taper knees, where the taper's second derivative jumps, and the
-axial phase z cos(theta) of a field or a rate grades the panels toward
-u = 0, where its oscillations crowd.
+(QuadratureConfig); panel counts are module constants.  One rule places
+the panels of every grid: edges always fall on the taper knees, where the
+taper's second derivative jumps, and the axial phase z cos(theta) of a
+field or a rate grades the panels toward u = 0, where its oscillations
+crowd; at z = 0 the grading vanishes and the panels are equal within each
+segment.
 """
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -28,13 +31,13 @@ WINDOW = 12.0
 TAPER_FRACTION = 0.2
 KNEE = (1.0 - TAPER_FRACTION) * WINDOW
 # first-grid panels per phase oscillation, and the fewest first-grid
-# panels; refine() doubles them at most MAX_REFINEMENTS times
+# panels
 PANELS_PER_OSCILLATION = 2.0
 MIN_PANELS = 24
-MAX_REFINEMENTS = 8
-# the most panels of any grid: 245,760 nodes keep the field kernel's tile
-# buffers, about 3.5 KB a node, under 1 GB.  The bundled presets, the
-# benchmark and the test suite reach at most 3,500 panels.
+# the most panels of any grid, and the only bound on refine()'s doublings:
+# 245,760 nodes keep the field kernel's tile buffers, about 3.5 KB a node,
+# under 1 GB.  The bundled presets, the benchmark and the test suite reach
+# at most 3,500 panels.
 MAX_PANELS = 16_384
 
 # 15-point Kronrod abscissae (positive half) and weights, with the embedded
@@ -84,22 +87,26 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if not 0 < self.rel_tol <= 1e-2:
-            raise ValueError("rel_tol must lie in (0, 1e-2]")
+        # below 1e-12 the K15/G7 residual, which stalls near 2e-14, would
+        # only fail after every doubling up to MAX_PANELS
+        if not 1e-12 <= self.rel_tol <= 1e-2:
+            raise ValueError("rel_tol must lie in [1e-12, 1e-2]")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
+def _k15_nodes(edges):
+    """Composite K15 nodes and (Kronrod, Gauss) weights on panel edges."""
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((mid + half * _X15).ravel(), (half * _WK15).ravel(),
+            (half * _WG15).ravel())
+
+
 def panel_nodes(n_panels, a, b):
     """Composite K15 nodes and (Kronrod, Gauss) weights on [a, b]."""
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    u = (mid[:, None] + half * _X15[None, :]).ravel()
-    wk = np.tile(half * _WK15, n_panels)
-    wg = np.tile(half * _WG15, n_panels)
-    return u, wk, wg
+    return _k15_nodes(np.linspace(a, b, n_panels + 1))
 
 
 def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
@@ -107,29 +114,21 @@ def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
     with panel edges on the taper knees +-KNEE, where the taper's second
     derivative jumps, so no panel straddles a knee; n_panels >= 3.
 
-    For z = 0 the n_panels panels are shared between the two taper segments
-    and the flat middle in proportion to their lengths; for n_panels a
-    multiple of 10 that is the uniform grid.  A nonzero axial-phase
-    amplitude z (a rate's trap center, a field point's height) grades them:
-    the phase z tanh u oscillates at the local rate |z| sech^2 u, so its
-    2|z|/2pi oscillations crowd near u = 0, while the rest of n_oscillations
-    (the kappa and rho phases) spread evenly.  Segments then get panels in
-    proportion to the increase of (ppo = PANELS_PER_OSCILLATION)
+    The axial-phase amplitude z (a rate's trap center, a field point's
+    height) grades the panels: the phase z tanh u oscillates at the local
+    rate |z| sech^2 u, so its 2|z|/2pi oscillations crowd near u = 0, while
+    the rest of n_oscillations (the kappa and rho phases) spread evenly.
+    Segments get panels in proportion to the increase of
+    (ppo = PANELS_PER_OSCILLATION)
 
         G(u) = (ppo rest + MIN_PANELS) u / (2W) + ppo |z| tanh(u) / 2pi,
         rest = n_oscillations - |z| / pi,
 
-    and inside each segment the edges equidistribute G.
+    and inside each segment the edges equidistribute G.  At z = 0, G is
+    linear: each segment's panels are equal, and the taper segments share
+    round(n_panels (W - KNEE) / (2W)) of them.
     """
     W, knee = WINDOW, KNEE
-    if z == 0:
-        n_taper = min(max(1, round(n_panels * TAPER_FRACTION / 2)),
-                      (n_panels - 1) // 2)
-        parts = [panel_nodes(n, a, b) for n, a, b in (
-            (n_taper, -W, -knee), (n_panels - 2 * n_taper, -knee, knee),
-            (n_taper, knee, W))]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
     ppo = PANELS_PER_OSCILLATION
     rest = max(n_oscillations - abs(z) / np.pi, 0.0)
     alpha = (ppo * rest + MIN_PANELS) / (2 * W)
@@ -156,11 +155,8 @@ def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
         u -= (G(u) - t) / (alpha + beta / np.cosh(u) ** 2)
     u = np.copysign(u, target)
     k, m = n_taper - 1, n_taper + n_mid - 2
-    edges = np.concatenate(([-W], u[:k], [-knee], u[k:m], [knee], u[m:], [W]))
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    return ((mid + half * _X15).ravel(), (half * _WK15).ravel(),
-            (half * _WG15).ravel())
+    return _k15_nodes(np.concatenate(
+        ([-W], u[:k], [-knee], u[k:m], [knee], u[m:], [W])))
 
 
 def taper_window(u):
@@ -190,8 +186,9 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
     floor; an estimate with ndim <= 1 is one row.  Returns
     (Kronrod estimate, largest residual).
 
-    No grid exceeds MAX_PANELS: a first grid above it raises ValueError
-    before any node is built, and a doubling past it QuadratureError.
+    MAX_PANELS is the one bound: a first grid above it raises ValueError
+    before any node is built, and a grid that fails to converge when its
+    doubling would pass MAX_PANELS raises QuadratureError.
     """
     n_panels = max(MIN_PANELS,
                    int(np.ceil(n_oscillations * PANELS_PER_OSCILLATION)))
@@ -199,7 +196,7 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
         raise ValueError(
             f"{n_oscillations:.4g} phase oscillations need a first grid of "
             f"{n_panels} panels, above the cap MAX_PANELS = {MAX_PANELS}")
-    for refinements in range(MAX_REFINEMENTS + 1):
+    for refinements in count():
         est_k, est_g = estimate(*window_nodes(n_panels, z, n_oscillations))
         rows = len(est_k) if np.ndim(est_k) > 1 else 1
         resid = np.abs(est_k - est_g).reshape(rows, -1).max(axis=1, initial=0.0)
@@ -207,12 +204,11 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
         if np.all(resid <= cfg.rel_tol * np.maximum(scale, 1e-30) + 1e-15):
             return est_k, float(resid.max())
         if 2 * n_panels > MAX_PANELS:
-            break
+            raise QuadratureError(
+                f"quadrature did not converge after {refinements} "
+                f"refinements; {2 * n_panels} panels would pass "
+                f"MAX_PANELS = {MAX_PANELS}", float(resid.max()))
         n_panels *= 2
-    capped = (f"; {2 * n_panels} panels would pass MAX_PANELS = {MAX_PANELS}"
-              if refinements < MAX_REFINEMENTS else "")
-    raise QuadratureError(f"quadrature did not converge after {refinements} "
-                          f"refinements{capped}", float(resid.max()))
 
 
 def sin_cos_theta(u):

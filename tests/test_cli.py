@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paramodes
-from paramodes import numerics, rates
+from paramodes import fieldeval, numerics, rates
 from paramodes.cli import main, RunConfig, build_parser, _load_config, _merge
 from paramodes.io import config_hash, format_float, write_csv
 from paramodes.presets import load_preset, preset_names
@@ -151,6 +151,20 @@ def test_tolerance_reaches_the_rate_quadrature(caplog, capsys):
     assert "rel_tol" in err and "Traceback" not in err
 
 
+def test_tolerance_below_round_off_fails_before_any_quadrature(
+        tmp_path, capsys, monkeypatch):
+    # such a tolerance could only fail after every doubling up to MAX_PANELS
+    def unreachable(*args):
+        raise AssertionError("quadrature started for an unreachable tolerance")
+    monkeypatch.setattr(fieldeval, "refine", unreachable)
+    out = tmp_path / "map.csv"
+    assert main(["field-map", "--preset", "fig1b", "--tolerance", "1e-16",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "rel_tol" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_threads_only_on_commands_that_read_it():
     parser = build_parser()
     for command in ("rate-scan", "mode-table", "perp-decomposition"):
@@ -253,7 +267,7 @@ def test_failed_field_quadrature_exits_1_and_writes_no_file(
         tmp_path, capsys, monkeypatch):
     # a first grid far too coarse for the phase, and no refinement
     monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
-    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 0)
+    monkeypatch.setattr(numerics, "MAX_PANELS", numerics.MIN_PANELS)
     payload = {"mode": dict(TINY_MAP["mode"], kappa=-10.4),
                "map": dict(TINY_MAP["map"], z_center=21.0, z_half_span=3.0)}
     cfg = _write(tmp_path, "map.json", payload)
@@ -261,7 +275,8 @@ def test_failed_field_quadrature_exits_1_and_writes_no_file(
         out = tmp_path / f"{command}.out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "did not converge" in err and "Traceback" not in err
+        assert "did not converge" in err and "residual estimate" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

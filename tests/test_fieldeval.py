@@ -6,7 +6,7 @@ import pytest
 from paramodes import fieldeval, load_preset
 from paramodes.core import ModeParams, SIGMAS
 from paramodes import numerics
-from paramodes.numerics import QuadratureConfig, refine
+from paramodes.numerics import QuadratureConfig, QuadratureError, refine
 from paramodes.fieldeval import (
     field_at_point, localization_plane,
     stationary_phase_angle, stationary_phase_field, stationary_phase_prefactor,
@@ -207,12 +207,12 @@ def test_intensity_map_failure_masks_whole_grid(monkeypatch):
     # a graded first grid at the default density converges by design, so
     # the failure needs a first grid far too coarse for the phase
     monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
-    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 0)
+    monkeypatch.setattr(numerics, "MAX_PANELS", numerics.MIN_PANELS)
     mode = ModeParams(omega=1.0, m=0, kappa=-10.4, family="E")
-    grid, mask = intensity_map(mode, "total", np.linspace(0.0, 2.0, 3),
-                               np.linspace(18.0, 24.0, 4))
-    assert grid.shape == mask.shape == (4, 3)
-    assert np.isnan(grid).all() and mask.all()
+    with pytest.raises(QuadratureError) as err:
+        intensity_map(mode, "total", np.linspace(0.0, 2.0, 3),
+                      np.linspace(18.0, 24.0, 4))
+    assert err.value.residual > 0.0
 
 
 def test_intensity_map_rejects_unknown_component(monkeypatch):

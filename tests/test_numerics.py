@@ -7,8 +7,8 @@ from scipy.special import jv
 from paramodes import numerics
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE, WINDOW,
-    TAPER_FRACTION, KNEE, PANELS_PER_OSCILLATION, MIN_PANELS, MAX_REFINEMENTS,
-    MAX_PANELS, panel_nodes, window_nodes, taper_window, refine,
+    TAPER_FRACTION, KNEE, PANELS_PER_OSCILLATION, MIN_PANELS, MAX_PANELS,
+    panel_nodes, window_nodes, taper_window, refine,
     sin_cos_theta, theta_from_u, bessel_j, oscillation_count,
 )
 from paramodes.oracles import (
@@ -63,7 +63,7 @@ def test_adaptive_refinement_reaches_tolerance(monkeypatch):
 
 def test_quadrature_failure_raises_with_residual(monkeypatch):
     monkeypatch.setattr(numerics, "MIN_PANELS", 3)
-    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 0)
+    monkeypatch.setattr(numerics, "MAX_PANELS", numerics.MIN_PANELS)
 
     def values(u):
         return np.cos(200.0 * u)
@@ -83,8 +83,20 @@ def test_oversized_first_grid_raises_before_any_node(monkeypatch):
 
 
 def test_doubling_past_the_panel_cap_raises(monkeypatch):
-    monkeypatch.setattr(numerics, "MAX_PANELS", 2 * MIN_PANELS)
+    # MAX_PANELS is the only bound: an estimate that never converges
+    # doubles from MIN_PANELS = 24 up to 12,288 panels before it raises
     grids = []
+
+    def never(u, wk, wg):
+        grids.append(len(u) // 15)
+        return 1.0, 0.0
+    with pytest.raises(QuadratureError, match="after 9 refinements; "
+                       "24576 panels would pass MAX_PANELS = 16384"):
+        refine(never, 0.0)
+    assert grids == [24 * 2**k for k in range(10)]
+
+    monkeypatch.setattr(numerics, "MAX_PANELS", 2 * MIN_PANELS)
+    grids.clear()
 
     def values(u):
         grids.append(len(u) // 15)
@@ -137,16 +149,36 @@ def test_window_nodes_at_zero_z_are_the_knee_aligned_rule():
     # the knee is computed, not the literal 9.6, which would move every edge
     W, knee = 12.0, (1.0 - 0.2) * 12.0
     assert (WINDOW, TAPER_FRACTION, KNEE) == (W, 0.2, knee) and knee != 9.6
-    for n_panels in (24, 25, 92, 97, 100, 301):
-        n_taper = min(max(1, round(n_panels * 0.2 / 2)),
-                      (n_panels - 1) // 2)
-        parts = [panel_nodes(n, a, b) for n, a, b in (
-            (n_taper, -W, -knee), (n_panels - 2 * n_taper, -knee, knee),
-            (n_taper, knee, W))]
-        want = [np.concatenate(arrays) for arrays in zip(*parts)]
-        for got in (window_nodes(n_panels),
-                    window_nodes(n_panels, 0.0, 40.0)):
-            for a, b in zip(got, want):
+    for n_panels in (24, 25, 35, 92, 97, 100, 301):
+        # at z = 0 the grading G is linear, so the taper segments get
+        # (W - KNEE) / 2W = 0.09999999999999995 of the panels: 3 a side of 35
+        n_taper = round(n_panels * (W - knee) / (2 * W))
+        n_mid = n_panels - 2 * n_taper
+        for nosc in (0.0, 40.0):
+            u, wk, _ = window_nodes(n_panels, 0.0, nosc)
+            # a panel's middle node is its midpoint, its Kronrod weights
+            # sum to its width
+            mid = u.reshape(n_panels, 15)[:, 7]
+            width = wk.reshape(n_panels, 15).sum(axis=1)
+            left, right = mid - width / 2, mid + width / 2
+            assert np.allclose(right[:-1], left[1:], rtol=0.0, atol=1e-13)
+            assert np.allclose(
+                [left[0], right[n_taper - 1], left[n_taper + n_mid],
+                 right[-1]], [-W, -knee, knee, W], rtol=0.0, atol=1e-13)
+            for segment, length in (
+                    (width[:n_taper], W - knee),
+                    (width[n_taper:n_taper + n_mid], 2 * knee),
+                    (width[n_taper + n_mid:], W - knee)):
+                assert np.allclose(segment, length / len(segment),
+                                   rtol=1e-13, atol=0.0)
+
+
+def test_window_nodes_are_continuous_at_zero_z():
+    # z = 0 takes the graded rule, not a rule of its own
+    for n_panels in (24, 35, 97, 1284):
+        for nosc in (0.0, 40.0):
+            for a, b in zip(window_nodes(n_panels, 0.0, nosc),
+                            window_nodes(n_panels, 1e-300, nosc)):
                 assert np.array_equal(a, b)
 
 
@@ -210,6 +242,10 @@ def test_quadrature_config_validation():
         replace(DEFAULT_QUADRATURE, rel_tol=2e-2)
     cfg = replace(DEFAULT_QUADRATURE, rel_tol=1e-6)
     assert cfg.rel_tol == 1e-6
+    # below 1e-12 the K15/G7 residual cannot converge
+    with pytest.raises(ValueError, match=r"rel_tol must lie in \[1e-12, 1e-2\]"):
+        QuadratureConfig(rel_tol=1e-13)
+    assert QuadratureConfig(rel_tol=1e-12).rel_tol == 1e-12
     # the tolerance is the one setting; panel counts are module constants
     assert [f.name for f in fields(QuadratureConfig)] == ["rel_tol"]
-    assert (PANELS_PER_OSCILLATION, MIN_PANELS, MAX_REFINEMENTS) == (2.0, 24, 8)
+    assert (PANELS_PER_OSCILLATION, MIN_PANELS, MAX_PANELS) == (2.0, 24, 16_384)

@@ -146,7 +146,7 @@ def test_rate_paths_raise_when_refinement_is_exhausted(ybii_eta,
     # a graded first grid at the default density converges by design, so
     # the failure needs a first grid far too coarse for the phase
     monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
-    monkeypatch.setattr(numerics, "MAX_REFINEMENTS", 0)
+    monkeypatch.setattr(numerics, "MAX_PANELS", numerics.MIN_PANELS)
     mode = ModeParams(omega=1.0, m=0, kappa=5.6, family="E")
     eta_xyz = (ybii_eta.eta_x, ybii_eta.eta_x, ybii_eta.eta_z)
     for path in (

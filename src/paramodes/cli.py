@@ -123,7 +123,8 @@ class RunConfig:
                 transition_wavelength=_field(ion, "ion", "wavelength_nm") * 1e-9,
             )
         if "dipole" in raw:
-            cfg.dipole = DipoleSpec(_vector(raw["dipole"], "dipole", 3))
+            cfg.dipole = DipoleSpec(
+                _vector(raw["dipole"], "dipole", 3, complex))
         trap = _section(raw, "trap")
         if trap is not None:
             if cfg.ion is None:

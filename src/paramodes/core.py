@@ -114,17 +114,19 @@ class IonSpec:
 
 @dataclass(frozen=True)
 class DipoleSpec:
-    """Transition-dipole direction; only the direction enters rate ratios."""
+    """Transition-dipole direction, a real or complex (circular) unit
+    vector; only the direction enters rate ratios."""
 
     orientation: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.orientation, dtype=float)
+        v = np.asarray(self.orientation, dtype=complex)
         if v.shape != (3,):
             raise ValueError("orientation must have three components")
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError("orientation must be a unit vector")
-        object.__setattr__(self, "orientation", tuple(v))
+            raise ValueError("dipole orientation must be a unit vector")
+        object.__setattr__(self, "orientation",
+                           tuple(v if v.imag.any() else v.real))
 
     def circular(self):
         return circular_components(self.orientation)

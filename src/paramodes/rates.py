@@ -286,18 +286,18 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     n = |m - sigma|, T = sum_r gamma_r |G|^2 over the series rows
     _series_terms keeps at cfg.rel_tol, with
     G[t, r, z] = sum_u A[t, u] rows[u, r] e^{-i z cos theta(u)},
-    A = e^{2 i kappa u} sum_j conj(c_j unit_j(u)) and
-    rows = w_u base(u) c^p s^e_r.  The sum runs per tile of z values, with
-    one pool_map over the node blocks.  A block builds what no winding
-    changes once: the kappa phase per distinct kappa, unit_spectra per
-    family, the c and s power tables and the trap phase.  Then, per
-    winding, it contracts each group of tasks sharing family and sigma in
-    the cheaper order for its size.  A group with fewer tasks than series
-    rows puts the phase into its tasks, B[u, t z] = A[t, u] e^{-i z cos},
-    and the winding's small groups share one real gemm rows^T @ B on the
-    (re, im) pairs, in chunks small enough for one BLAS thread.  A larger
-    group shares M[u, r z] = rows[u, r] e^{-i z cos} with the other large
-    groups of its winding and makes one complex gemm A @ M.
+    A = e^{2 i kappa u} (conj(c) @ conj(unit))(u), one (tasks x 3) @ (3 x
+    nodes) product per group of tasks sharing family and sigma, for any
+    coefficient triples c, and rows = w_u base(u) c^p s^e_r.  Per tile of
+    z values, one pool_map runs the node blocks.  A block builds what no
+    winding changes once: the kappa phase per distinct kappa, unit_spectra
+    per family, the c and s power tables and the trap phase.  Per winding,
+    it contracts each group in the cheaper order for its size.  A group
+    with fewer tasks than series rows puts the phase into its tasks,
+    B[u, t z] = A[t, u] e^{-i z cos}, and the winding's small groups share
+    one real gemm rows^T @ B on the (re, im) pairs, in chunks small enough
+    for one BLAS thread.  A larger group shares M[u, r z] = rows[u, r]
+    e^{-i z cos} with its winding's other large groups: one complex gemm A @ M.
 
     Blocks hold their Gauss nodes first, and w_u is the Kronrod weight, so
     the Gauss estimate rescales the leading ng nodes by wg / wk and reads
@@ -337,9 +337,9 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
         unit = {fam: np.conj(unit_spectra(fam, s, c)) for fam in families}
 
         def spectra(groups):  # A[t, u] of the groups' tasks, stacked
-            return np.concatenate([kappa_phase[kidx[idx]] * sum(
-                conj_c[idx, j, None] * unit[fam][i_sigma, j]
-                for j in range(3)) for (fam, i_sigma), idx in groups])
+            return np.concatenate([
+                kappa_phase[kidx[idx]] * (conj_c[idx] @ unit[fam][i_sigma])
+                for (fam, i_sigma), idx in groups])
 
         base = wk * s**2 * taper_window(u) \
             * np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
@@ -513,10 +513,15 @@ def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,
     """Fix the catalog normalization to a far-field unity plateau.
 
     Averages the raw catalog total over z in the window (start, stop, step)
-    inclusive and stores C = 1 / mean; raises if the window average is not
-    a positive finite number.
+    inclusive and stores C = 1 / mean.  Raises before any quadrature unless
+    the window is finite with start <= stop and step > 0, and after it if
+    the window average is not a positive finite number.
     """
     start, stop, step = window
+    if not (np.isfinite(window).all() and start <= stop and step > 0):
+        raise ValueError(f"calibration window (start, stop, step) needs "
+                         f"finite values, start <= stop and step > 0, "
+                         f"got {tuple(window)}")
     zs = np.arange(start, stop + step / 2, step)
     base = catalog.calibrated(1.0)
     raw = [r.total for r in rate_scan(base, dipole, eta, zs, cfg, threads)]

@@ -90,14 +90,16 @@ def test_validate_rejects_bad_scan(tmp_path, capsys):
     (dict(TINY_RATE, ion=dict(TINY_RATE["ion"], mass_amu=True)),
      "ion.mass_amu must be a finite number, got True"),
     (dict(TINY_RATE, dipole=[0.0, False, 1.0]), "dipole must be a finite number"),
-    # JSON strings are not numbers, except for complex coefficients
+    # JSON strings are not numbers, except for complex coefficients and
+    # dipole entries
     (dict(TINY_MAP, mode=dict(TINY_MAP["mode"], m="1")),
      "mode.m must be a finite number, got '1'"),
     (dict(TINY_MAP, mode=dict(TINY_MAP["mode"], kappa="-0.64")),
      "mode.kappa must be a finite number, got '-0.64'"),
     (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_rho="3")),
      "map.n_rho must be a finite number, got '3'"),
-    (dict(TINY_RATE, dipole=[0.0, "0", 1.0]), "dipole must be a finite number"),
+    (dict(TINY_RATE, dipole=[0.0, "one", 1.0]),
+     "dipole must be a finite number"),
     # family labels: malformed ones and a (family, m) listed twice
     (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"], families=["E m=x"])),
      "unrecognized family label 'E m=x'"),
@@ -131,6 +133,22 @@ def test_complex_coefficients_may_be_strings(tmp_path):
     assert main(["validate", "--config", _write(tmp_path, "c.json",
                                                 payload)]) == 0
     assert RunConfig.from_dict(payload).mode.coeffs == (1 + 2j, -1, 0)
+
+
+def test_circular_dipole_may_be_strings(tmp_path, capsys):
+    r = 1 / 2 ** 0.5
+    circ = dict(TINY_RATE, dipole=[r, f"{r!r}j", 0.0])
+    cfg = _write(tmp_path, "circ.json", circ)
+    out = tmp_path / "perp.json"
+    assert main(["perp-decomposition", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["total"] > 0
+    assert RunConfig.from_dict(circ).dipole.sigma_weight(-1) \
+        == pytest.approx(0.5, rel=1e-15)
+    capsys.readouterr()
+    bad = _write(tmp_path, "bad.json", dict(TINY_RATE, dipole=[r, "1j", 0.0]))
+    assert main(["validate", "--config", bad]) == 1
+    err = capsys.readouterr().err
+    assert "must be a unit vector" in err and "Traceback" not in err
 
 
 def test_tolerance_reaches_the_rate_quadrature(caplog, capsys):

@@ -109,3 +109,17 @@ def test_dipole_weights_transverse(dipole_transverse):
 def test_dipole_requires_unit_vector():
     with pytest.raises(ValueError):
         DipoleSpec((1.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="dipole orientation must be a unit vector"):
+        DipoleSpec((1.0, 1j, 0.0))
+
+
+def test_dipole_accepts_complex_unit_vectors():
+    r = 1 / np.sqrt(2)
+    circ = DipoleSpec((r, 1j * r, 0.0))
+    assert circ.orientation == (r, 1j * r, 0.0)
+    # d_+ = 1/sqrt 2 and d_- = 0 weight only the sigma = -1 channel
+    assert [circ.sigma_weight(s) for s in SIGMAS] \
+        == pytest.approx([0.0, 0.5, 0.0], abs=1e-15)
+    real = DipoleSpec((0.6, 0j, 0.8))
+    assert real.orientation == (0.6, 0.0, 0.8)
+    assert all(isinstance(x, float) for x in real.orientation)

@@ -246,6 +246,45 @@ def test_transverse_dipole_selection(ybii_eta, dipole_transverse):
             0.25 * (row.t_sigma[0] + row.t_sigma[1]), rel=1e-15)
 
 
+# both signs of m, so reflection through a plane containing the axis maps
+# the catalog onto itself
+BOTH_SIGNS_RULE = {
+    "families": ["E |m|=1", "B |m|=1", "B m=0"],
+    "kappa": {"values": [-2.1, -0.6, 0.02, 0.9, 3.3]},
+}
+
+
+def test_circular_dipoles_on_axis():
+    eta = LambDicke(0.2, 0.15)
+    cat = build_catalog(BOTH_SIGNS_RULE, omega=1.0)
+    r = 1 / np.sqrt(2)
+    # "+" and "-" weight only the sigma = +1 and sigma = -1 channels
+    dipoles = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0),
+               "+": (r, -1j * r, 0.0), "-": (r, 1j * r, 0.0)}
+    for z in (0.0, 3.0):
+        rate = {key: total_rate(cat, DipoleSpec(d), eta, z).total
+                for key, d in dipoles.items()}
+        # the channel weights alone: the channels decouple on the axis
+        assert rate["x"] == pytest.approx(rate["y"], rel=1e-15)
+        assert rate["x"] == pytest.approx((rate["+"] + rate["-"]) / 2,
+                                          rel=1e-15)
+        # the reflection maps (m, sigma) to (-m, -sigma)
+        assert rate["+"] == pytest.approx(rate["-"], rel=1e-13)
+
+
+@pytest.mark.parametrize("window", [
+    (120.0, 160.0, 0.0), (160.0, 120.0, 5.0), (120.0, 160.0, -5.0),
+    (120.0, np.inf, 5.0), (np.nan, 160.0, 5.0), (120.0, 160.0, np.nan),
+])
+def test_calibrate_rejects_bad_window(ybii_eta, dipole_axial, monkeypatch,
+                                      window):
+    def unreachable(*args):
+        raise AssertionError("quadrature started for a bad window")
+    monkeypatch.setattr(rates, "refine", unreachable)
+    with pytest.raises(ValueError, match="calibration window"):
+        calibrate(_tiny_catalog(), dipole_axial, ybii_eta, window)
+
+
 def test_calibration_normalizes_far_field(ybii_eta, dipole_axial):
     cat = calibrate(_tiny_catalog(), dipole_axial, ybii_eta,
                     window=(120.0, 160.0, 20.0))
@@ -360,11 +399,26 @@ def test_calibrate_converges_on_first_grid(ybii_eta, dipole_transverse,
     assert calls == [1]
 
 
+def _assert_scan_rows_match_single_tasks(modes, eta, zs):
+    """Each row of one rate_scan call over every sigma must be the
+    single-task value of its (mode, sigma)."""
+    dipole = DipoleSpec((0.6, 0.0, 0.8))   # every sigma weighted
+    res = rate_scan(ModeCatalog(modes=modes), dipole, eta, zs)
+    for im, mode in enumerate(modes):
+        for js, sigma in enumerate(SIGMAS):
+            scan = np.array([r.rows[im].t_sigma[js] for r in res])
+            single = np.array([mode_contribution(mode, sigma, eta, z)
+                               for z in zs])
+            # each path converges to rel_tol of its own row scale
+            bound = 2 * DEFAULT_QUADRATURE.rel_tol * max(scan.max(),
+                                                      single.max()) + 1e-15
+            assert np.max(np.abs(scan - single)) <= bound
+
+
 def test_rate_scan_rows_match_single_task_engine(ybii_eta):
     # families with different kappa sets and a coefficient triple per mode
     # (c_0 != 0 in the E m=0 family), windings 0..2 and a B-family
-    # sigma = +-1 group: each row of the one-call scan must be the
-    # single-task value of its (mode, sigma)
+    # sigma = +-1 group
     modes = tuple(
         [ModeParams(omega=1.0, m=0, kappa=k, family="E",
                     coeffs=(1.0, -0.4 * k, 0.7j + k))
@@ -373,19 +427,21 @@ def test_rate_scan_rows_match_single_task_engine(ybii_eta):
                       coeffs=(0.6 * k, 1.1 - 0.3j, 0.0)) for k in (-3.1, 0.9)]
         + [ModeParams(omega=1.0, m=-1, kappa=k, family="E",
                       coeffs=(1.0, k - 1.0, 0.0)) for k in (-0.5, 4.4)])
-    cat = ModeCatalog(modes=modes)
-    dipole = DipoleSpec((0.6, 0.0, 0.8))   # every sigma weighted
-    zs = [-9.0, 0.0, 4.5]
-    res = rate_scan(cat, dipole, ybii_eta, zs)
-    for im, mode in enumerate(modes):
-        for js, sigma in enumerate(SIGMAS):
-            scan = np.array([r.rows[im].t_sigma[js] for r in res])
-            single = np.array([mode_contribution(mode, sigma, ybii_eta, z)
-                               for z in zs])
-            # each path converges to rel_tol of its own row scale
-            bound = 2 * DEFAULT_QUADRATURE.rel_tol * max(scan.max(),
-                                                      single.max()) + 1e-15
-            assert np.max(np.abs(scan - single)) <= bound
+    _assert_scan_rows_match_single_tasks(modes, ybii_eta, [-9.0, 0.0, 4.5])
+
+
+def test_large_group_rows_match_single_task_engine(ybii_eta):
+    # 16 E m=0 modes whose coefficient triples differ from mode to mode
+    # make groups at least as large as their series rows (15 at winding
+    # 0), so the complex gemm order runs on triples no scale relates
+    modes = tuple(
+        ModeParams(omega=1.0, m=0, kappa=k, family="E",
+                   coeffs=(1.0 + 0.2j * k, k * k - 2.0, 0.5 - 0.3j * k))
+        for k in np.linspace(-3.0, 3.0, 16))
+    n_rows = rates.series_rows(ModeCatalog(modes=modes),
+                               DipoleSpec((0.6, 0.0, 0.8)), ybii_eta)
+    assert n_rows[0] == 15 and max(n_rows.values()) <= len(modes)
+    _assert_scan_rows_match_single_tasks(modes, ybii_eta, [-6.0, 2.5])
 
 
 def test_rate_engine_z_tiles_match_one_tile(ybii_eta, dipole_transverse,

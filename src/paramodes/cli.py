@@ -299,7 +299,8 @@ def cmd_mode_table(args):
     cfg = _load_config(args)
     quad = _quadrature(args)
     catalog = _calibrated_catalog(cfg, args, quad)
-    table = mode_table(catalog, cfg.dipole, cfg.eta, args.z, quad)
+    table = mode_table(catalog, cfg.dipole, cfg.eta, args.z, quad,
+                       threads=args.threads)
     rows = [(t["family"], t["m"], t["kappa"], t["contribution"], t["fraction"])
             for t in table]
     write_csv(args.out, ("family", "m", "kappa", "contribution", "fraction"),
@@ -315,7 +316,8 @@ def cmd_perp_decomposition(args):
     cfg = _load_config(args)
     quad = _quadrature(args)
     catalog = _calibrated_catalog(cfg, args, quad)
-    result = total_rate(catalog, cfg.dipole, cfg.eta, args.z, quad)
+    result = total_rate(catalog, cfg.dipole, cfg.eta, args.z, quad,
+                        threads=args.threads)
     payload = {
         "z": result.z,
         "total": result.total,

@@ -23,7 +23,7 @@ from .core import ModeParams, SIGMAS, cartesian_from_circular
 from .spectrum import sigma_profile, u_spectrum
 from .numerics import (
     DEFAULT_QUADRATURE, oscillation_count, refine,
-    taper_window, sin_cos_theta, bessel_j,
+    taper_window, sin_cos_theta, bessel_j, bessel_table, one_blas_thread,
 )
 
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)  # i^n, exact
@@ -64,9 +64,11 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     One refine() over the whole request, sized by max|z| and max rho and
     graded by max|z|, with one convergence scale per sigma channel.  Each
     grid builds the spectrum once and one J_|n|(rho s) table per distinct
-    |n| (J_{-n} = (-1)^n J_n), in tiles of _BLOCK rho and z values whose
-    buffers are allocated once per grid.  The node sums run in einsum, not
-    in threaded BLAS, so the bits do not depend on the BLAS thread count.
+    |n| (J_{-n} = (-1)^n J_n, and J_2 shares J_0 and J_1), in tiles of
+    _BLOCK rho and z values whose buffers are allocated once per grid.  A
+    tile's node sum is one matmul, the (3 rho, nodes) Bessel-times-spectrum
+    table against the (2 z, nodes) weighted phases, on one BLAS thread, so
+    the bits do not depend on the BLAS thread count.
     """
     rho, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (rho, z))
     ns = [mode.m - sigma for sigma in SIGMAS]
@@ -76,33 +78,37 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
         s, c = sin_cos_theta(u)
         a = sign * np.array(u_spectrum(mode, u)) * (s**2 * taper_window(u))
         out = np.empty((2, 3, len(z), len(rho)), dtype=complex)
-        # tile buffers, once per grid; a short last tile uses their leading rows
-        A_buf = np.empty((3, min(_BLOCK, len(rho)), len(u)), dtype=complex)
+        # tile buffers, once per grid, flat so that a short last tile is a
+        # contiguous leading part of each
+        A_buf = np.empty((3 * min(_BLOCK, len(rho)), len(u)), dtype=complex)
         arg_buf = np.empty((min(_BLOCK, len(z)), len(u)))
-        phase_buf = np.empty((2,) + arg_buf.shape, dtype=complex)
+        phase_buf = np.empty((2 * len(arg_buf), len(u)), dtype=complex)
         for r in range(0, len(rho), _BLOCK):
             rb = slice(r, r + _BLOCK)
             x = np.multiply.outer(rho[rb], s)
-            J = {k: bessel_j(k, x) for k in {abs(n) for n in ns}}
-            A = A_buf[:, :len(x)]
-            for A_n, n, a_n in zip(A, ns, a):
+            J = bessel_table({abs(n) for n in ns}, x)
+            A = A_buf[:3 * len(x)]
+            for A_n, n, a_n in zip(A.reshape(3, len(x), -1), ns, a):
                 np.multiply(J[abs(n)], a_n, out=A_n)
             for q in range(0, len(z), _BLOCK):
                 zb = slice(q, q + _BLOCK)
                 arg = np.multiply.outer(z[zb], c, out=arg_buf[:len(z[zb])])
                 # (Kronrod, Gauss) weights times e^{i z cos theta}
-                phase = phase_buf[:, :len(arg)]
-                np.cos(arg, out=phase[1].real)
-                np.sin(arg, out=phase[1].imag)
-                np.multiply(phase[1], wk, out=phase[0])
-                np.multiply(phase[1], wg, out=phase[1])
-                np.einsum("srn,kzn->kszr", A, phase, out=out[:, :, zb, rb],
-                          optimize=False)
+                phase = phase_buf[:2 * len(arg)]
+                kron, gauss = phase.reshape(2, len(arg), -1)
+                np.cos(arg, out=gauss.real)
+                np.sin(arg, out=gauss.imag)
+                np.multiply(gauss, wk, out=kron)
+                np.multiply(gauss, wg, out=gauss)
+                # [s r, k z] -> out[k, s, z, r]
+                out[:, :, zb, rb] = (A @ phase.T).reshape(
+                    3, len(x), 2, len(arg)).transpose(2, 0, 3, 1)
         return out[0], out[1]
 
     zmax = float(np.abs(z).max())
-    return refine(estimate, oscillation_count(mode.kappa, zmax, rho.max()),
-                  cfg, zmax)[0]
+    with one_blas_thread():
+        return refine(estimate, oscillation_count(mode.kappa, zmax, rho.max()),
+                      cfg, zmax)[0]
 
 
 def field_at_point(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE):

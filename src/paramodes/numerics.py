@@ -19,12 +19,24 @@ taper's second derivative jumps, and the axial phase z cos(theta) of a
 field or a rate grades the panels toward u = 0, where its oscillations
 crowd; at z = 0 the grading vanishes and the panels are equal within each
 segment.
+
+Both engines run their BLAS calls inside one_blas_thread(), which pins
+numpy's bundled OpenBLAS to one thread, so that no result depends on the
+BLAS thread count and no engine thread starts BLAS threads of its own.
 """
 
+import ctypes
+import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
+from pathlib import Path
+from threading import Lock
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 # |u| <= WINDOW, tapered from the knees +-KNEE = +-9.600000000000001 (not 9.6)
 WINDOW = 12.0
@@ -211,6 +223,67 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
         n_panels *= 2
 
 
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy runs on, or None.
+
+    numpy's wheels bundle scipy-openblas (64-bit integers) in numpy.libs
+    beside the package; the build record's lib directory is the wheel
+    builder's, not the installed copy's.  Looked up on the first engine
+    call, never at import; a miss is logged once.
+    """
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    bundled = []
+    if blas.get("name") == "scipy-openblas":
+        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+        bundled = sorted(libs.glob("libscipy_openblas*"))
+    for path in bundled:
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    log.warning("numpy's BLAS (%s %s) has no bundled OpenBLAS thread control; "
+                "the engines run with the BLAS thread count unpinned, so "
+                "their last bits may depend on it",
+                blas.get("name"), blas.get("version"))
+    return None
+
+
+_pin_lock = Lock()
+_pin_holders = 0
+_pin_saved = None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread.
+
+    The first of any overlapping holders, from any thread, saves the thread
+    count and sets it to 1; the last one out restores it.  Holders never
+    wait on each other beyond the counter update.  Without a bundled
+    OpenBLAS the block runs unpinned.
+    """
+    global _pin_holders, _pin_saved
+    with _pin_lock:
+        blas = _openblas_threads()
+        if blas and _pin_holders == 0:
+            _pin_saved = blas[0]()
+            blas[1](1)
+        _pin_holders += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_holders -= 1
+            if blas and _pin_holders == 0:
+                blas[1](_pin_saved)
+
+
 def sin_cos_theta(u):
     """(sin theta_k, cos theta_k) for u = ln tan(theta_k / 2)."""
     return 1.0 / np.cosh(u), -np.tanh(u)
@@ -220,9 +293,29 @@ def theta_from_u(u):
     return 2.0 * np.arctan(np.exp(u))
 
 
-# special-function wrapper -- scipy provides j0, j1 and jv, and orders 0 to
+# special-function wrappers -- scipy provides j0, j1 and jv, and orders 0 to
 # +-2 are built from j0/j1 alone; the series forms in paramodes.oracles back
 # them in the validation suite
+
+def _j2(x, j0, j1):
+    """J_2(x) = 2 J_1(x) / x - J_0(x) from J_0 and J_1, with J_2(0) = 0."""
+    at_zero = x == 0
+    return np.where(at_zero, 0.0, 2.0 * j1 / np.where(at_zero, 1.0, x) - j0)
+
+
+def bessel_table(orders, x):
+    """{n: J_n(x)} for a set of nonnegative orders n on an array x, with the
+    bits of bessel_j: J_0 and J_1 are computed once and shared by J_2."""
+    from scipy import special as _sp
+    J = {n: _sp.jv(n, x) for n in orders - {0, 1, 2}}
+    if orders & {0, 2}:
+        J[0] = _sp.j0(x)
+    if orders & {1, 2}:
+        J[1] = _sp.j1(x)
+    if 2 in orders:
+        J[2] = _j2(x, J[0], J[1])
+    return {n: J[n] for n in orders}
+
 
 def bessel_j(n, x):
     """Bessel J_n of scalar order n at x (scalar in, scalar out).
@@ -242,7 +335,5 @@ def bessel_j(n, x):
         return n * _sp.j1(x)
     if n == 2 or n == -2:
         x = np.asarray(x, dtype=float)
-        at_zero = x == 0
-        j2 = 2.0 * _sp.j1(x) / np.where(at_zero, 1.0, x) - _sp.j0(x)
-        return np.where(at_zero, 0.0, j2)[()]
+        return _j2(x, _sp.j0(x), _sp.j1(x))[()]
     return _sp.jv(n, x)

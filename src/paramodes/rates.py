@@ -37,7 +37,7 @@ from .trap import LambDicke
 from .spectrum import unit_spectra
 from .numerics import (
     DEFAULT_QUADRATURE, oscillation_count, refine, taper_window,
-    sin_cos_theta,
+    sin_cos_theta, one_blas_thread,
 )
 
 
@@ -240,21 +240,6 @@ def series_rows(catalog, dipole: DipoleSpec, eta: LambDicke,
 # set.  Node blocks are the only unit of work that `threads` shares out.
 _U_BLOCK = 1050
 _Z_BLOCK = 64
-# multiply-adds m n k per real gemm call of the rate engine.  On OpenBLAS
-# 0.3.31 (x86-64, AVX-512) a call this small gives the same bytes with one
-# BLAS thread and with the default thread count, and from m n k = 1.008e6
-# up it does not; tests/test_references.py checks the rate anchors' bytes
-# across both settings.
-_GEMM_MNK = 1_000_000
-
-
-def _dgemm(a, b, out):
-    """out = a @ b for real 2-D arrays, in column chunks of at most
-    _GEMM_MNK multiply-adds each."""
-    m, k = a.shape
-    n = max(1, _GEMM_MNK // (m * k))
-    for j in range(0, b.shape[1], n):
-        np.matmul(a, b[:, j:j + n], out=out[:, j:j + n])
 
 
 class _BlockSum:
@@ -295,9 +280,10 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     it contracts each group in the cheaper order for its size.  A group
     with fewer tasks than series rows puts the phase into its tasks,
     B[u, t z] = A[t, u] e^{-i z cos}, and the winding's small groups share
-    one real gemm rows^T @ B on the (re, im) pairs, in chunks small enough
-    for one BLAS thread.  A larger group shares M[u, r z] = rows[u, r]
-    e^{-i z cos} with its winding's other large groups: one complex gemm A @ M.
+    one real gemm rows^T @ B on the (re, im) pairs.  A larger group shares
+    M[u, r z] = rows[u, r] e^{-i z cos} with its winding's other large
+    groups: one complex gemm A @ M.  Every gemm runs on one BLAS thread, so
+    the bits depend on neither the thread count nor the BLAS thread count.
 
     Blocks hold their Gauss nodes first, and w_u is the Kronrod weight, so
     the Gauss estimate rescales the leading ng nodes by wg / wk and reads
@@ -361,8 +347,9 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
                 B = (a[:, :, None] * phase[:, None, :]).view(float) \
                     .reshape(len(u), -1)
                 part = np.empty((2, rows.shape[1], B.shape[1]))
-                _dgemm(rows.T, B, part[0])
-                _dgemm((rows[:ng] * to_gauss[:, None]).T, B[:ng], part[1])
+                np.matmul(rows.T, B, out=part[0])
+                np.matmul((rows[:ng] * to_gauss[:, None]).T, B[:ng],
+                          out=part[1])
                 add(b, g, part.view(complex))
                 g += 1
                 del a, B
@@ -403,7 +390,9 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
 
     kmax = float(np.abs(kappas).max())
     zmax = float(np.abs(z_values).max(initial=0.0))
-    return refine(estimate, oscillation_count(kmax, zmax, 0.0), cfg, zmax)[0]
+    with one_blas_thread():
+        return refine(estimate, oscillation_count(kmax, zmax, 0.0), cfg,
+                      zmax)[0]
 
 
 def mode_contribution(mode, sigma, eta: LambDicke, z_center,
@@ -502,10 +491,10 @@ def rate_scan(catalog, dipole: DipoleSpec, eta: LambDicke, z_values,
 
 
 def total_rate(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
-               cfg=DEFAULT_QUADRATURE):
-    """RateResult at a single axial trap center."""
+               cfg=DEFAULT_QUADRATURE, threads=1):
+    """RateResult at a single axial trap center; threads as in rate_scan."""
     return rate_scan(catalog, dipole, eta, [float(z_center)], cfg,
-                     threads=1)[0]
+                     threads)[0]
 
 
 def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,
@@ -532,13 +521,13 @@ def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,
 
 
 def mode_table(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
-               cfg=DEFAULT_QUADRATURE):
+               cfg=DEFAULT_QUADRATURE, threads=1):
     """Per-mode calibrated contributions at one trap center, sorted by kappa.
 
     Returns a list of dicts with the calibrated contribution and its
-    fraction of the total.
+    fraction of the total; threads as in rate_scan.
     """
-    res = total_rate(catalog, dipole, eta, z_center, cfg)
+    res = total_rate(catalog, dipole, eta, z_center, cfg, threads)
     pairs = sorted(zip(res.modes, res.weighted.tolist()),
                    key=lambda p: (p[0].kappa, p[0].family, p[0].m))
     out = []

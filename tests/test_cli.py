@@ -387,6 +387,23 @@ def test_rate_paths_build_no_mode_rows(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["mode-table", "perp-decomposition"])
+def test_threads_reach_the_single_z_query(tmp_path, monkeypatch, command):
+    # calibrate and the query each make one rate_scan call
+    seen = []
+    real = rates.rate_scan
+
+    def recording(catalog, dipole, eta, z_values, cfg, threads=1):
+        seen.append(threads)
+        return real(catalog, dipole, eta, z_values, cfg, threads)
+
+    monkeypatch.setattr(rates, "rate_scan", recording)
+    path = _write(tmp_path, "rate.json", TINY_RATE)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                 "--z", "1.0", "--threads", "2"]) == 0
+    assert seen == [2, 2]
+
+
+@pytest.mark.parametrize("command", ["mode-table", "perp-decomposition"])
 @pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
 def test_non_finite_z_is_named_failure(tmp_path, capsys, monkeypatch,
                                        command, z):

@@ -1,15 +1,19 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from threading import Barrier, Event, Thread
 
 import numpy as np
 import pytest
 from scipy.special import jv
 
-from paramodes import numerics
+from paramodes import fieldeval, numerics, rates
+from paramodes.core import ModeParams
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE, WINDOW,
     TAPER_FRACTION, KNEE, PANELS_PER_OSCILLATION, MIN_PANELS, MAX_PANELS,
     panel_nodes, window_nodes, taper_window, refine,
-    sin_cos_theta, theta_from_u, bessel_j, oscillation_count,
+    sin_cos_theta, theta_from_u, bessel_j, bessel_table, oscillation_count,
 )
 from paramodes.oracles import (
     integrate_adaptive, u_from_theta, bessel_i, bessel_j_series,
@@ -225,6 +229,125 @@ def test_bessel_j_against_series():
     assert bessel_j(2, 0.0) == 0.0
     assert np.ndim(bessel_j(2, 1.5)) == 0
     assert np.array_equal(bessel_j(-2, x), bessel_j(2, x))
+
+
+def test_bessel_table_has_the_bits_of_bessel_j():
+    x = np.multiply.outer(np.linspace(0.0, 7.0, 5), np.linspace(0.0, 1.0, 1600))
+    for orders in ({0, 1, 2}, {1, 2, 3}, {2}, {0}, {1, 3}):
+        table = bessel_table(orders, x)
+        assert set(table) == orders
+        for n in orders:
+            assert table[n].tobytes() == bessel_j(n, x).tobytes()
+
+
+def test_engines_run_on_one_blas_thread_and_restore_it(ybii_eta,
+                                                       monkeypatch):
+    blas = numerics._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no bundled OpenBLAS thread control")
+    get, put = blas
+    saved = get()
+    put(2)  # a count the pin must change and then restore
+    rate_mode = ModeParams(omega=1.0, m=0, kappa=0.5, family="E")
+    field_mode = ModeParams(omega=1.0, m=1, kappa=-2.0, family="E")
+    seen = []
+
+    def call_rates():
+        rates.mode_contribution(rate_mode, 0, ybii_eta, 3.0)
+
+    def call_field():
+        fieldeval.field_at_point(field_mode, (0.5, 0.0, 1.0))
+
+    def probe(hook):
+        def wrapped(*args, **kwargs):
+            hook()
+            seen.append(get())
+            return refine(*args, **kwargs)
+        return wrapped
+
+    def stall(*args, **kwargs):
+        seen.append(get())
+        raise QuadratureError("stalled", 1.0)
+
+    try:
+        for engine, call in ((rates, call_rates), (fieldeval, call_field)):
+            # after a return and after a raise
+            monkeypatch.setattr(engine, "refine", probe(lambda: None))
+            call()
+            assert seen.pop() == 1 and get() == 2
+            monkeypatch.setattr(engine, "refine", stall)
+            with pytest.raises(QuadratureError):
+                call()
+            assert seen.pop() == 1 and get() == 2
+        # overlapping calls from two threads: the rate call enters, the field
+        # call enters, the rate call returns, and the field call must still
+        # run on one thread
+        both_in, rates_out = Barrier(2, timeout=60), Event()
+        monkeypatch.setattr(rates, "refine", probe(both_in.wait))
+        monkeypatch.setattr(fieldeval, "refine",
+                            probe(lambda: (both_in.wait(),
+                                           rates_out.wait(timeout=60))))
+
+        def first():
+            call_rates()
+            rates_out.set()
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(first), pool.submit(call_field)]
+            for run in runs:
+                run.result()
+        assert seen == [1, 1] and get() == 2
+    finally:
+        put(saved)
+
+
+def test_blas_pin_holds_under_contention():
+    # more threads than cores enter and leave the pin, switching often; a
+    # lost update of the holder count would unpin a holder or leave the
+    # count at 1
+    blas = numerics._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS has no bundled OpenBLAS thread control")
+    get, put = blas
+    saved, interval = get(), sys.getswitchinterval()
+    put(2)
+    unpinned = []
+
+    def hold():
+        for _ in range(3000):
+            with numerics.one_blas_thread():
+                if get() != 1:
+                    unpinned.append(get())
+
+    workers = [Thread(target=hold) for _ in range(8)]
+    try:
+        sys.setswitchinterval(1e-6)
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert not unpinned and numerics._pin_holders == 0 and get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        put(saved)
+
+
+def test_engines_run_unpinned_without_bundled_openblas(monkeypatch, caplog):
+    blas = dict(np.__config__.CONFIG["Build Dependencies"]["blas"],
+                name="accelerate")
+    monkeypatch.setitem(np.__config__.CONFIG["Build Dependencies"], "blas",
+                        blas)
+    with caplog.at_level("WARNING", logger="paramodes.numerics"):
+        assert numerics._openblas_threads.__wrapped__() is None
+    assert "unpinned" in caplog.text
+    # a one-point field's matmul is too small for BLAS threads either way
+    mode = ModeParams(omega=1.0, m=1, kappa=-2.0, family="E")
+    pinned = fieldeval.field_at_point(mode, (0.5, 0.0, 1.0)).E
+    monkeypatch.setattr(numerics, "_openblas_threads", lambda: None)
+    unpinned = fieldeval.field_at_point(mode, (0.5, 0.0, 1.0)).E
+    assert unpinned.tobytes() == pinned.tobytes()
+    assert numerics._pin_holders == 0
 
 
 def test_bessel_i_against_series():

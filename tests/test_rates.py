@@ -326,6 +326,19 @@ def test_rate_scan_deterministic_across_threads(ybii_eta, dipole_axial,
                 assert a.family_totals == b.family_totals
 
 
+def test_single_z_queries_bit_identical_across_threads(ybii_eta,
+                                                       dipole_transverse):
+    # at |z| = 40 each winding of the mixed catalog has two node blocks
+    cat = build_catalog(MIXED_RULE, omega=1.0)
+    seq = total_rate(cat, dipole_transverse, ybii_eta, -40.0, threads=1)
+    par = total_rate(cat, dipole_transverse, ybii_eta, -40.0, threads=2)
+    assert seq.total == par.total           # bitwise identical
+    assert seq.rows == par.rows
+    assert seq.family_totals == par.family_totals
+    assert mode_table(cat, dipole_transverse, ybii_eta, -40.0, threads=2) \
+        == mode_table(cat, dipole_transverse, ybii_eta, -40.0)
+
+
 def test_total_rate_single_z_accuracy(ybii_eta, dipole_transverse,
                                       monkeypatch):
     # the default grid against the same engine converged far past it

@@ -23,6 +23,7 @@ segment.
 Both engines run their BLAS calls inside one_blas_thread(), which pins
 numpy's bundled OpenBLAS to one thread, so that no result depends on the
 BLAS thread count and no engine thread starts BLAS threads of its own.
+Where numpy has no bundled OpenBLAS, the engines run unpinned.
 """
 
 import ctypes
@@ -227,17 +228,13 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS numpy runs on, or None.
 
-    numpy's wheels bundle scipy-openblas (64-bit integers) in numpy.libs
-    beside the package; the build record's lib directory is the wheel
-    builder's, not the installed copy's.  Looked up on the first engine
-    call, never at import; a miss is logged once.
+    numpy's wheels (2.0 on) bundle scipy-openblas, with 64-bit integers, in
+    numpy.libs beside the package; a copy there that exports the thread
+    controls is the one numpy loaded.  Looked up on the first engine call,
+    never at import; a miss is logged once.
     """
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    bundled = []
-    if blas.get("name") == "scipy-openblas":
-        libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-        bundled = sorted(libs.glob("libscipy_openblas*"))
-    for path in bundled:
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
         try:
             lib = ctypes.CDLL(str(path))
             get = lib.scipy_openblas_get_num_threads64_
@@ -247,10 +244,9 @@ def _openblas_threads():
         get.argtypes, get.restype = [], ctypes.c_int
         put.argtypes, put.restype = [ctypes.c_int], None
         return get, put
-    log.warning("numpy's BLAS (%s %s) has no bundled OpenBLAS thread control; "
-                "the engines run with the BLAS thread count unpinned, so "
-                "their last bits may depend on it",
-                blas.get("name"), blas.get("version"))
+    log.warning("no scipy-openblas with thread controls in %s; the engines "
+                "run with the BLAS thread count unpinned, so their last bits "
+                "may depend on it", libs)
     return None
 
 
@@ -297,15 +293,16 @@ def theta_from_u(u):
 # +-2 are built from j0/j1 alone; the series forms in paramodes.oracles back
 # them in the validation suite
 
-def _j2(x, j0, j1):
-    """J_2(x) = 2 J_1(x) / x - J_0(x) from J_0 and J_1, with J_2(0) = 0."""
-    at_zero = x == 0
-    return np.where(at_zero, 0.0, 2.0 * j1 / np.where(at_zero, 1.0, x) - j0)
-
-
 def bessel_table(orders, x):
-    """{n: J_n(x)} for a set of nonnegative orders n on an array x, with the
-    bits of bessel_j: J_0 and J_1 are computed once and shared by J_2."""
+    """{n: J_n(x)} for a set of nonnegative orders n on an array x.
+
+    Orders 0 and 1 call scipy.special.j0/j1, an order of magnitude faster
+    than jv.  Order 2 uses the upward recurrence J_2(x) = 2 J_1(x) / x -
+    J_0(x) on the same J_0 and J_1, with J_2(0) = 0 set exactly; its error
+    is absolute, within a few ulps of 1 for any x.  Upward recurrence loses
+    accuracy for x < n from order 3 on, so those orders keep jv.
+    """
+    # imported here, so that only field evaluations load scipy
     from scipy import special as _sp
     J = {n: _sp.jv(n, x) for n in orders - {0, 1, 2}}
     if orders & {0, 2}:
@@ -313,27 +310,15 @@ def bessel_table(orders, x):
     if orders & {1, 2}:
         J[1] = _sp.j1(x)
     if 2 in orders:
-        J[2] = _j2(x, J[0], J[1])
+        at_zero = x == 0
+        J[2] = np.where(at_zero, 0.0,
+                        2.0 * J[1] / np.where(at_zero, 1.0, x) - J[0])
     return {n: J[n] for n in orders}
 
 
 def bessel_j(n, x):
-    """Bessel J_n of scalar order n at x (scalar in, scalar out).
-
-    Orders 0 and +-1 call scipy.special.j0/j1 (J_{-1} = -J_1), an order of
-    magnitude faster than jv.  Orders +-2 use the upward recurrence
-    J_2(x) = 2 J_1(x) / x - J_0(x) (J_{-2} = J_2), with J_2(0) = 0 set
-    exactly; its error is absolute, within a few ulps of 1 for any x.
-    Upward recurrence loses accuracy for x < n from order 3 on, so those
-    orders keep jv.
-    """
-    # imported here, so that only field evaluations load scipy
-    from scipy import special as _sp
-    if n == 0:
-        return _sp.j0(x)
-    if n == 1 or n == -1:
-        return n * _sp.j1(x)
-    if n == 2 or n == -2:
-        x = np.asarray(x, dtype=float)
-        return _j2(x, _sp.j0(x), _sp.j1(x))[()]
-    return _sp.jv(n, x)
+    """Bessel J_n of scalar integer order n at x (scalar in, scalar out):
+    bessel_table's J_|n|, with J_{-n} = (-1)^n J_n."""
+    x = np.asarray(x, dtype=float)
+    J = bessel_table({abs(n)}, x)[abs(n)]
+    return (-J if n < 0 and n % 2 else J)[()]

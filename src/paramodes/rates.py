@@ -282,8 +282,10 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     B[u, t z] = A[t, u] e^{-i z cos}, and the winding's small groups share
     one real gemm rows^T @ B on the (re, im) pairs.  A larger group shares
     M[u, r z] = rows[u, r] e^{-i z cos} with its winding's other large
-    groups: one complex gemm A @ M.  Every gemm runs on one BLAS thread, so
-    the bits depend on neither the thread count nor the BLAS thread count.
+    groups: one complex gemm A @ M.  The bits never depend on the thread
+    count; where one_blas_thread() finds numpy's bundled OpenBLAS, every
+    gemm runs on one BLAS thread, and they do not depend on the BLAS thread
+    count either.
 
     Blocks hold their Gauss nodes first, and w_u is the Kronrod weight, so
     the Gauss estimate rescales the leading ng nodes by wg / wk and reads

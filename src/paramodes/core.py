@@ -5,7 +5,10 @@ transition angular frequency); rates are reported as ratios to the
 free-space rate.  SI values enter only at the configuration boundary.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
+
 import numpy as np
 
 # SI values of scipy.constants (CODATA 2022), written out so that importing
@@ -79,15 +82,21 @@ class ModeParams:
     coeffs: tuple = DEFAULT_COEFFS
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+        if not (math.isfinite(self.omega) and self.omega > 0):
+            raise ValueError(f"omega must be positive and finite, "
+                             f"got {self.omega!r}")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got {self.kappa!r}")
         if self.family not in (E_MODE, B_MODE):
             raise ValueError("family must be 'E' or 'B'")
-        if int(self.m) != self.m:
-            raise ValueError("m must be an integer")
+        if not math.isfinite(self.m) or int(self.m) != self.m:
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if len(self.coeffs) != 3:
             raise ValueError("coeffs must have exactly three entries (+, -, 0)")
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        coeffs = tuple(complex(c) for c in self.coeffs)
+        if not all(map(cmath.isfinite, coeffs)):
+            raise ValueError(f"coeffs must be finite, got {coeffs!r}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, sigma):
         return self.coeffs[{SIGMA_PLUS: 0, SIGMA_MINUS: 1, SIGMA_ZERO: 2}[sigma]]
@@ -123,6 +132,9 @@ class DipoleSpec:
         v = np.asarray(self.orientation, dtype=complex)
         if v.shape != (3,):
             raise ValueError("orientation must have three components")
+        if not np.isfinite(v).all():
+            raise ValueError(f"dipole orientation must be finite, "
+                             f"got {self.orientation!r}")
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError("dipole orientation must be a unit vector")
         object.__setattr__(self, "orientation",

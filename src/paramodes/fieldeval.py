@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModeParams, SIGMAS, cartesian_from_circular
-from .spectrum import sigma_profile, u_spectrum
+from .spectrum import sigma_profile, mirrored_spectra
 from .numerics import (
-    DEFAULT_QUADRATURE, oscillation_count, refine,
+    DEFAULT_QUADRATURE, oscillation_count, refine, folded_nodes,
     taper_window, sin_cos_theta, bessel_j, bessel_table, one_blas_thread,
 )
 
@@ -62,47 +62,71 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     shape (3, n_z, n_rho) in SIGMAS order, without the winding phase.
 
     One refine() over the whole request, sized by max|z| and max rho and
-    graded by max|z|, with one convergence scale per sigma channel.  Each
-    grid builds the spectrum once and one J_|n|(rho s) table per distinct
-    |n| (J_{-n} = (-1)^n J_n, and J_2 shares J_0 and J_1), in tiles of
-    _BLOCK rho and z values whose buffers are allocated once per grid.  A
-    tile's node sum is one matmul, the (3 rho, nodes) Bessel-times-spectrum
-    table against the (2 z, nodes) weighted phases, on one BLAS thread, so
-    the bits do not depend on the BLAS thread count.
+    graded by max|z|, with one convergence scale per sigma channel.  The
+    grid is mirror-symmetric, and under u -> -u sin theta and every
+    J_n(rho sin theta) are even, cos theta is odd and the kappa phase goes
+    to its conjugate, so each grid works on its u >= 0 half:
+    sum_half w J [(a(u) + a(-u)) cos(z c) + i (a(u) - a(-u)) sin(z c)].
+    Each grid builds the spectrum at u and -u once and one J_|n|(rho s)
+    table per distinct |n| (J_{-n} = (-1)^n J_n, and J_2 shares J_0 and
+    J_1), in tiles of _BLOCK rho and z values whose buffers are allocated
+    once per grid.  A tile's node sum is one real matmul, the
+    (re/im x 3 rho, cos/sin x nodes) Bessel-times-spectrum table against
+    the (2 z, cos/sin x nodes) weighted cos and sin of z cos theta, on one
+    BLAS thread, so the bits do not depend on the BLAS thread count.
     """
     rho, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (rho, z))
+    if not (np.isfinite(rho).all() and np.isfinite(z).all()):
+        raise ValueError("rho and z values must be finite")
+    if (rho < 0).any():
+        raise ValueError("rho values must be nonnegative")
     ns = [mode.m - sigma for sigma in SIGMAS]
     sign = np.array([(-1.0) ** min(n, 0) for n in ns])[:, None]
 
     def estimate(u, wk, wg):
+        u, wk, wg = folded_nodes(u, wk, wg)
         s, c = sin_cos_theta(u)
-        a = sign * np.array(u_spectrum(mode, u)) * (s**2 * taper_window(u))
+        a = mirrored_spectra(mode, u, s, c) \
+            * (sign * (s**2 * taper_window(u)))[:, None]
+        # with even/odd = a(u) +- a(-u), the node sum of even cos + i odd sin
+        # has real part Re(even) cos - Im(odd) sin and imaginary part
+        # Im(even) cos + Re(odd) sin: coef[re/im, channel, cos/sin, node]
+        coef = np.empty((2, 3, 2, len(u)))
+        np.add(a.real[:, 0], a.real[:, 1], out=coef[0, :, 0])
+        np.subtract(a.imag[:, 1], a.imag[:, 0], out=coef[0, :, 1])
+        np.add(a.imag[:, 0], a.imag[:, 1], out=coef[1, :, 0])
+        np.subtract(a.real[:, 0], a.real[:, 1], out=coef[1, :, 1])
         out = np.empty((2, 3, len(z), len(rho)), dtype=complex)
         # tile buffers, once per grid, flat so that a short last tile is a
         # contiguous leading part of each
-        A_buf = np.empty((3 * min(_BLOCK, len(rho)), len(u)), dtype=complex)
-        arg_buf = np.empty((min(_BLOCK, len(z)), len(u)))
-        phase_buf = np.empty((2 * len(arg_buf), len(u)), dtype=complex)
+        n_rho, n_z = min(_BLOCK, len(rho)), min(_BLOCK, len(z))
+        L_buf = np.empty(2 * 3 * n_rho * 2 * len(u))
+        arg_buf = np.empty((n_z, len(u)))
+        trig_buf = np.empty(2 * n_z * 2 * len(u))
         for r in range(0, len(rho), _BLOCK):
             rb = slice(r, r + _BLOCK)
             x = np.multiply.outer(rho[rb], s)
             J = bessel_table({abs(n) for n in ns}, x)
-            A = A_buf[:3 * len(x)]
-            for A_n, n, a_n in zip(A.reshape(3, len(x), -1), ns, a):
-                np.multiply(J[abs(n)], a_n, out=A_n)
+            L = L_buf[:12 * len(x) * len(u)].reshape(2, 3, len(x), 2, -1)
+            for L_part, coef_part in zip(L, coef):
+                for L_n, n, coef_n in zip(L_part, ns, coef_part):
+                    np.multiply(J[abs(n)][:, None], coef_n, out=L_n)
             for q in range(0, len(z), _BLOCK):
                 zb = slice(q, q + _BLOCK)
                 arg = np.multiply.outer(z[zb], c, out=arg_buf[:len(z[zb])])
-                # (Kronrod, Gauss) weights times e^{i z cos theta}
-                phase = phase_buf[:2 * len(arg)]
-                kron, gauss = phase.reshape(2, len(arg), -1)
-                np.cos(arg, out=gauss.real)
-                np.sin(arg, out=gauss.imag)
+                # (Kronrod, Gauss) weights times (cos, sin) of z cos theta
+                trig = trig_buf[:4 * arg.size].reshape(2, len(arg), 2, -1)
+                kron, gauss = trig
+                np.cos(arg, out=gauss[:, 0])
+                np.sin(arg, out=gauss[:, 1])
                 np.multiply(gauss, wk, out=kron)
                 np.multiply(gauss, wg, out=gauss)
-                # [s r, k z] -> out[k, s, z, r]
-                out[:, :, zb, rb] = (A @ phase.T).reshape(
-                    3, len(x), 2, len(arg)).transpose(2, 0, 3, 1)
+                # [re/im s r, k z] -> out[k, s, z, r]
+                part = (L.reshape(6 * len(x), -1)
+                        @ trig.reshape(2 * len(arg), -1).T).reshape(
+                    2, 3, len(x), 2, len(arg)).transpose(0, 3, 1, 4, 2)
+                out.real[:, :, zb, rb] = part[0]
+                out.imag[:, :, zb, rb] = part[1]
         return out[0], out[1]
 
     zmax = float(np.abs(z).max())
@@ -114,10 +138,8 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
 def field_at_point(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE):
     """Field sample at cylindrical position (rho, phi, z) via the reduced path."""
     rho, phi, z = (float(x) for x in position)
-    if not np.isfinite([rho, phi, z]).all():
-        raise ValueError("position must be finite")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not np.isfinite(phi):
+        raise ValueError("phi must be finite")
     ints = _field_integrals(mode, rho, z, cfg)[:, 0, 0]
     return FieldSample((rho, phi, z), {
         sigma: _ipow(n) * np.exp(1j * n * phi) * amp

@@ -18,7 +18,9 @@ the panels of every grid: edges always fall on the taper knees, where the
 taper's second derivative jumps, and the axial phase z cos(theta) of a
 field or a rate grades the panels toward u = 0, where its oscillations
 crowd; at z = 0 the grading vanishes and the panels are equal within each
-segment.
+segment.  Every grid is exactly mirror-symmetric under u -> -u (theta ->
+pi - theta), so the engines evaluate their per-node tables on the u >= 0
+half (folded_nodes) and get the other half by symmetry.
 
 Both engines run their BLAS calls inside one_blas_thread(), which pins
 numpy's bundled OpenBLAS to one thread, so that no result depends on the
@@ -139,7 +141,9 @@ def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
 
     and inside each segment the edges equidistribute G.  At z = 0, G is
     linear: each segment's panels are equal, and the taper segments share
-    round(n_panels (W - KNEE) / (2W)) of them.
+    round(n_panels (W - KNEE) / (2W)) of them.  The grid is mirror-symmetric
+    bit for bit, u[::-1] == -u, with mirrored weights; an odd n_panels
+    centers a panel, and its middle node, on u = 0.
     """
     W, knee = WINDOW, KNEE
     ppo = PANELS_PER_OSCILLATION
@@ -154,22 +158,36 @@ def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
     n_taper = min(max(1, round(n_panels * (G_W - G_knee) / (2 * G_W))),
                   (n_panels - 1) // 2)
     n_mid = n_panels - 2 * n_taper
-    target = np.concatenate((
-        np.linspace(-G_W, -G_knee, n_taper + 1)[1:-1],
-        np.linspace(-G_knee, G_knee, n_mid + 1)[1:-1],
+    # G is odd, so only the u > 0 interior edges are placed: the middle
+    # segment's (an edge at u = 0 when n_mid is even, a panel centered on
+    # it when odd) and the outer taper segment's.  Each target is inverted
+    # from linear interpolation in a 33-point table of G, then four Newton
+    # steps, which reach round-off for any ratio of beta to alpha
+    t = np.concatenate((
+        G_knee * np.arange(2 - n_mid % 2, n_mid, 2) / n_mid,
         np.linspace(G_knee, G_W, n_taper + 1)[1:-1]))
-    # G is odd and increasing: invert |target| from linear interpolation in
-    # a 33-point table of G, then four Newton steps, which reach round-off
-    # for any ratio of beta to alpha
-    t = np.abs(target)
     table = np.linspace(0.0, W, 33)
     u = np.interp(t, G(table), table)
     for _ in range(4):
         u -= (G(u) - t) / (alpha + beta / np.cosh(u) ** 2)
-    u = np.copysign(u, target)
-    k, m = n_taper - 1, n_taper + n_mid - 2
+    k = (n_mid - 1) // 2
+    half = np.concatenate((u[:k], [knee], u[k:], [W]))
+    # mirrored edges give mirrored nodes bit for bit: u[::-1] == -u
     return _k15_nodes(np.concatenate(
-        ([-W], u[:k], [-knee], u[k:m], [knee], u[m:], [W])))
+        (-half[::-1], [0.0] * (1 - n_mid % 2), half)))
+
+
+def folded_nodes(u, wk, wg):
+    """The u >= 0 half of a window_nodes grid, whose mirror u -> -u is
+    exact: (u, wk, wg) of the half, where a node at u = 0 (odd panel
+    counts) keeps half its weights, since a sum over the half counts each
+    node for itself and its mirror.  Returns copies."""
+    h = len(u) // 2
+    u, wk, wg = (x[h:].copy() for x in (u, wk, wg))
+    if u[0] == 0.0:
+        wk[0] *= 0.5
+        wg[0] *= 0.5
+    return u, wk, wg
 
 
 def taper_window(u):

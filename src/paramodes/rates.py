@@ -34,10 +34,10 @@ import numpy as np
 from .core import (ModeParams, DipoleSpec, SIGMAS, HBAR, C_LIGHT, EPS0,
                    DEFAULT_COEFFS)
 from .trap import LambDicke
-from .spectrum import unit_spectra
+from .spectrum import mirror_parity, unit_spectra
 from .numerics import (
-    DEFAULT_QUADRATURE, oscillation_count, refine, taper_window,
-    sin_cos_theta, one_blas_thread,
+    DEFAULT_QUADRATURE, oscillation_count, refine, folded_nodes,
+    taper_window, sin_cos_theta, one_blas_thread,
 )
 
 
@@ -235,10 +235,11 @@ def series_rows(catalog, dipole: DipoleSpec, eta: LambDicke,
             for n in sorted(windings)}
 
 
-# u-nodes per block of the rate engine's node sum (70 K15 panels), and z
-# values per tile of the trap-phase matrix; together they bound the working
-# set.  Node blocks are the only unit of work that `threads` shares out.
-_U_BLOCK = 1050
+# u >= 0 nodes per block of the rate engine's node sum (35 K15 panels, and
+# as many mirrored at u < 0), and z values per tile of the trap-phase
+# matrix; together they bound the working set.  Node blocks are the only
+# unit of work that `threads` shares out.
+_U_BLOCK = 525
 _Z_BLOCK = 64
 
 
@@ -287,9 +288,14 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     gemm runs on one BLAS thread, and they do not depend on the BLAS thread
     count either.
 
-    Blocks hold their Gauss nodes first, and w_u is the Kronrod weight, so
-    the Gauss estimate rescales the leading ng nodes by wg / wk and reads
-    no node of Gauss weight zero.
+    The grid is mirror-symmetric, so blocks take its u >= 0 half and build
+    every per-node table there once: under u -> -u, sin theta, the taper
+    and the trap Gaussian are even, the kappa and trap phases go to their
+    conjugates, the unit spectra flip by mirror_parity and the series rows
+    by (-1)^p.  A block then holds its nodes as [+u Gauss, -u Gauss,
+    +u rest, -u rest], and w_u is the Kronrod weight, so the Gauss
+    estimate rescales the leading nodes by wg / wk and reads no node of
+    Gauss weight zero.
     """
     z_values = np.asarray(z_values, dtype=float)
     if not np.isfinite(z_values).all():
@@ -301,7 +307,7 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     for t, (mode, sigma) in enumerate(tasks):
         windings.setdefault(abs(mode.m - sigma), {}).setdefault(
             (mode.family, SIGMAS.index(sigma)), []).append(t)
-    passes = []  # (p, e_r, small groups, large groups) per winding
+    passes = []  # (p, e_r, (-1)^p, small groups, large groups) per winding
     sums = []  # (gamma, tasks, rows first) per block sum, in block order
     for n, gs in sorted(windings.items()):
         terms = _series_terms(n, eta.eta_x, eta.eta_z, cfg.rel_tol)
@@ -310,19 +316,34 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
         p, e_r, gamma = (np.array(t) for t in zip(*terms))
         small = [g for g in gs.items() if len(g[1]) < len(gamma)]
         large = [g for g in gs.items() if len(g[1]) >= len(gamma)]
-        passes.append((p, e_r, small, large))
+        passes.append((p, e_r, (-1.0) ** p, small, large))
         if small:
             sums.append((gamma, [t for _, idx in small for t in idx], True))
         sums += [(gamma, idx, False) for _, idx in large]
-    families = {fam for _, _, small, large in passes
+    families = {fam for *_, small, large in passes
                 for (fam, _), _ in small + large}
-    deg = max((max(p.max(), e_r.max()) for p, e_r, _, _ in passes), default=0)
+    deg = max((max(p.max(), e_r.max()) for p, e_r, *_ in passes), default=0)
 
     def block(z_tile, add, numbered_nodes):
+        # u >= 0 nodes, Gauss first: ng of them
         b, (u, wk, wg, ng) = numbered_nodes
+
+        def unfold(plus, minus, axis=0):
+            # the block's tables from their u >= 0 and -u halves, in node
+            # order [+u Gauss, -u Gauss, +u rest, -u rest]
+            lead = (slice(None),) * axis
+            gauss, rest = lead + (slice(ng),), lead + (slice(ng, None),)
+            return np.concatenate(
+                (plus[gauss], minus[gauss], plus[rest], minus[rest]), axis)
+
         s, c = sin_cos_theta(u)
         kappa_phase = np.exp(2j * np.multiply.outer(kappas, u))
-        unit = {fam: np.conj(unit_spectra(fam, s, c)) for fam in families}
+        kappa_phase = unfold(kappa_phase, kappa_phase.conj(), axis=1)
+        unit = {}
+        for fam in families:
+            half = np.conj(unit_spectra(fam, s, c))
+            unit[fam] = unfold(half, half * mirror_parity(fam)[:, :, None],
+                               axis=2)
 
         def spectra(groups):  # A[t, u] of the groups' tasks, stacked
             return np.concatenate([
@@ -331,42 +352,50 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
 
         base = wk * s**2 * taper_window(u) \
             * np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
+        n_u, n_gauss = 2 * len(u), 2 * ng
         to_gauss = (wg / wk)[:ng]
+        to_gauss = np.concatenate((to_gauss, to_gauss))
         c_pow = np.vander(c, deg + 1, increasing=True)
         s_pow = np.vander(s, deg + 1, increasing=True)
-        # trap phase e^{-i z cos theta} as cos - i sin, built in place
+        # trap phase e^{-i z cos theta} as cos - i sin, built in place; at
+        # -u it is the conjugate
         phase = np.empty((len(u), len(z_tile)), dtype=complex)
         np.multiply.outer(c, z_tile, out=phase.imag)
         np.cos(phase.imag, out=phase.real)
         np.negative(np.sin(phase.imag, out=phase.imag), out=phase.imag)
+        phase = unfold(phase, phase.conj())
         g = 0
-        for p, e_r, small, large in passes:
-            # (node, row) powers c^p s^e_r, C-ordered so M reshapes in place
+        for p, e_r, parity, small, large in passes:
+            # (node, row) powers c^p s^e_r, C-ordered so M reshapes in
+            # place; at -u, c^p flips by (-1)^p
             rows = base[:, None] * np.take(c_pow, p, axis=1) \
                 * np.take(s_pow, e_r, axis=1)
+            rows = unfold(rows, rows * parity)
             if small:
                 a = np.ascontiguousarray(spectra(small).T)  # [node, task]
                 B = (a[:, :, None] * phase[:, None, :]).view(float) \
-                    .reshape(len(u), -1)
+                    .reshape(n_u, -1)
                 part = np.empty((2, rows.shape[1], B.shape[1]))
                 np.matmul(rows.T, B, out=part[0])
-                np.matmul((rows[:ng] * to_gauss[:, None]).T, B[:ng],
-                          out=part[1])
+                np.matmul((rows[:n_gauss] * to_gauss[:, None]).T,
+                          B[:n_gauss], out=part[1])
                 add(b, g, part.view(complex))
                 g += 1
                 del a, B
             if large:
-                M = (rows[:, :, None] * phase[:, None, :]).reshape(len(u), -1)
+                M = (rows[:, :, None] * phase[:, None, :]).reshape(n_u, -1)
                 for group in large:
                     a = spectra([group])
                     part = np.empty((2, len(a), M.shape[1]), dtype=complex)
                     np.matmul(a, M, out=part[0])
-                    np.matmul(a[:, :ng] * to_gauss, M[:ng], out=part[1])
+                    np.matmul(a[:, :n_gauss] * to_gauss, M[:n_gauss],
+                              out=part[1])
                     add(b, g, part)
                     g += 1
                 del M, a  # one winding's M alive at a time
 
     def estimate(u, wk, wg):
+        u, wk, wg = folded_nodes(u, wk, wg)
         blocks = []
         for i in range(0, len(u), _U_BLOCK):
             nodes = slice(i, i + _U_BLOCK)

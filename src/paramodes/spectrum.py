@@ -14,7 +14,7 @@ phi_k dependence stays exactly separable.
 
 import numpy as np
 
-from .core import ModeParams, B_MODE, SIGMAS, cartesian_from_circular
+from .core import ModeParams, B_MODE, E_MODE, SIGMAS, cartesian_from_circular
 from .numerics import sin_cos_theta
 
 
@@ -76,11 +76,40 @@ def unit_spectra(family, sin_t, cos_t):
     return np.array(_curls(family, tuple(unit), sin_t, cos_t))
 
 
+# circular components of the mirror z -> -z, in SIGMAS order: e_+ and e_-
+# keep their sign, e_0 flips
+_MIRROR = np.array([1.0, 1.0, -1.0])
+
+
+def mirror_parity(family):
+    """(3, 3) signs with unit_spectra(family, s, -c) = sign *
+    unit_spectra(family, s, c).
+
+    theta -> pi - theta reflects k_hat by R: z -> -z, which multiplies
+    circular component i by _MIRROR[i].  A reflection has determinant -1,
+    so k_hat x v at R k_hat is -R (k_hat x R v): each curl adds a sign,
+    and entry [i, j] picks up (-1)^curls _MIRROR[i] _MIRROR[j].
+    """
+    return (-1.0 if family == E_MODE else 1.0) * np.outer(_MIRROR, _MIRROR)
+
+
 def u_spectrum(mode: ModeParams, u):
     """Profile triple (a_+, a_-, a_0) at u = ln tan(theta_k/2), without theta."""
     u = np.asarray(u, dtype=float)
     return _spectrum_triple(mode, *sin_cos_theta(u),
                             np.exp(-2j * mode.kappa * u))
+
+
+def mirrored_spectra(mode: ModeParams, u, sin_t, cos_t):
+    """Profile triples at u and at its mirror -u, shape (3, 2, len(u)),
+    given sin_t = sech u and cos_t = -tanh u.  The mirror keeps sin theta,
+    flips cos theta and conjugates the kappa phase, so one exp serves both.
+    """
+    phase = np.exp(-2j * mode.kappa * np.asarray(u, dtype=float))
+    a = _spectrum_triple(mode, np.concatenate((sin_t, sin_t)),
+                         np.concatenate((cos_t, -cos_t)),
+                         np.concatenate((phase, phase.conj())))
+    return np.reshape(a, (3, 2, len(phase)))
 
 
 def _theta_spectrum(mode: ModeParams, theta_k):

@@ -36,6 +36,14 @@ class LambDicke:
     eta_x: float
     eta_z: float
 
+    def __post_init__(self):
+        # eta = 0 is a point trap, which the rate engine handles
+        for name in ("eta_x", "eta_z"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, "
+                                 f"got {value!r}")
+
     @classmethod
     def from_trap(cls, omega_gamma, mass, radial, axial):
         """From the transition frequency, the ion mass and the radial and

@@ -113,6 +113,23 @@ def test_dipole_requires_unit_vector():
         DipoleSpec((1.0, 1j, 0.0))
 
 
+def test_core_types_reject_non_finite_entries():
+    for orientation in ((np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0),
+                        (0.0, complex(np.nan, 1.0), 0.0)):
+        with pytest.raises(ValueError,
+                           match="dipole orientation must be finite"):
+            DipoleSpec(orientation)
+    for field, value in (("omega", np.nan), ("omega", np.inf),
+                         ("omega", -1.0), ("kappa", np.nan),
+                         ("kappa", -np.inf), ("m", np.nan), ("m", np.inf),
+                         ("coeffs", (1.0, np.nan, 0.0)),
+                         ("coeffs", (1.0, 0.0, complex(0.0, np.inf)))):
+        args = dict(omega=1.0, m=0, kappa=0.5, family="E")
+        args[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ModeParams(**args)
+
+
 def test_dipole_accepts_complex_unit_vectors():
     r = 1 / np.sqrt(2)
     circ = DipoleSpec((r, 1j * r, 0.0))

@@ -6,7 +6,11 @@ import pytest
 from paramodes import fieldeval, load_preset
 from paramodes.core import ModeParams, SIGMAS
 from paramodes import numerics
-from paramodes.numerics import QuadratureConfig, QuadratureError, refine
+from paramodes.numerics import (
+    QuadratureConfig, QuadratureError, refine, window_nodes, sin_cos_theta,
+    taper_window,
+)
+from paramodes.spectrum import u_spectrum
 from paramodes.fieldeval import (
     field_at_point, localization_plane,
     stationary_phase_angle, stationary_phase_field, stationary_phase_prefactor,
@@ -72,6 +76,25 @@ def test_position_validation():
         field_at_point(mode, (-1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         field_at_point(mode, (np.inf, 0.0, 0.0))
+    with pytest.raises(ValueError, match="phi must be finite"):
+        field_at_point(mode, (1.0, np.nan, 0.0))
+
+
+def test_field_grids_are_checked_before_any_quadrature(monkeypatch):
+    def no_quadrature(*args, **kw):
+        raise AssertionError("quadrature started before the check")
+    monkeypatch.setattr(fieldeval, "refine", no_quadrature)
+    mode = _axial_mode(-0.64)
+    for rho, zs in (([0.0, 1.0], [0.0, np.nan]), ([np.inf], [0.0]),
+                    ([0.0, np.nan], [1.0])):
+        with pytest.raises(ValueError, match="rho and z values must be finite"):
+            intensity_map(mode, "z", rho, zs)
+    with pytest.raises(ValueError, match="rho values must be nonnegative"):
+        intensity_map(mode, "z", [-0.5, 1.0], [0.0])
+    with pytest.raises(ValueError, match="rho values must be nonnegative"):
+        field_at_point(mode, (-1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        axis_intensity_scan(mode, [0.0, np.inf])
 
 
 def test_localization_plane():
@@ -268,3 +291,33 @@ def test_field_kernel_grades_by_its_largest_z(monkeypatch):
         z, grids = requests[-1]
         assert not mask.any()
         assert z == np.abs(zs).max() and 1 <= len(grids) <= 2, name
+
+
+@pytest.mark.parametrize("n_panels", [25, 24])
+def test_folded_field_kernel_matches_the_full_grid_sum(n_panels, monkeypatch):
+    # odd panel counts put a node at u = 0, which the folded sum counts
+    # once; the plain sum below runs over both halves of the same grid
+    from scipy.special import jv
+    grid = window_nodes(n_panels, 4.4, 12.0)
+    estimates = []
+
+    def one_grid(estimate, *args):
+        estimates.append(estimate(*grid))
+        return estimates[-1][0], 0.0
+    monkeypatch.setattr(fieldeval, "refine", one_grid)
+    rho, zs = np.array([0.0, 0.7, 2.3]), np.array([-3.1, 0.0, 4.4])
+    u, wk, wg = grid
+    s, c = sin_cos_theta(u)
+    phase = np.exp(1j * np.outer(zs, c))
+    for family, m in (("E", 0), ("E", 1), ("B", 0), ("B", -1)):
+        mode = ModeParams(omega=1.0, m=m, kappa=-0.64, family=family,
+                          coeffs=(1.0, 0.3j, 0.5))
+        fieldeval._field_integrals(mode, rho, zs)
+        a = u_spectrum(mode, u)
+        for got, w in zip(estimates[-1], (wk, wg)):
+            want = np.array([
+                np.einsum("ru,zu,u->zr",
+                          jv(m - sigma, np.outer(rho, s)),
+                          phase, w * a_s * s**2 * taper_window(u))
+                for sigma, a_s in zip(SIGMAS, a)])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

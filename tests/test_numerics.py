@@ -12,7 +12,7 @@ from paramodes.core import ModeParams
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE, WINDOW,
     TAPER_FRACTION, KNEE, PANELS_PER_OSCILLATION, MIN_PANELS, MAX_PANELS,
-    panel_nodes, window_nodes, taper_window, refine,
+    panel_nodes, window_nodes, folded_nodes, taper_window, refine,
     sin_cos_theta, theta_from_u, bessel_j, oscillation_count,
 )
 from paramodes.oracles import (
@@ -184,6 +184,37 @@ def test_window_nodes_are_continuous_at_zero_z():
             for a, b in zip(window_nodes(n_panels, 0.0, nosc),
                             window_nodes(n_panels, 1e-300, nosc)):
                 assert np.array_equal(a, b)
+
+
+def test_window_nodes_are_exactly_mirror_symmetric():
+    # u -> -u maps every grid onto itself bit for bit, so the engines may
+    # evaluate their tables on the u >= 0 half
+    for n_panels in (3, 24, 25, 97, 100, 1284):
+        for z, nosc in ((0.0, 0.0), (0.0, 40.0), (160.0, 60.0),
+                        (-11.2, 30.0)):
+            u, wk, wg = window_nodes(n_panels, z, nosc)
+            assert np.array_equal(u, -u[::-1])
+            assert np.array_equal(wk, wk[::-1])
+            assert np.array_equal(wg, wg[::-1])
+            # an odd panel count centers a panel, and its middle node, on 0
+            assert (u[len(u) // 2] == 0.0) == (n_panels % 2 == 1)
+
+
+def test_folded_nodes_sum_like_the_full_grid():
+    def f(u):
+        return np.exp(-u**2 / 8) * (2.0 + np.sin(3.0 * u))
+    for n_panels in (25, 24):
+        u, wk, wg = window_nodes(n_panels, 7.0, 20.0)
+        full = [x.copy() for x in (u, wk, wg)]
+        h, hk, hg = folded_nodes(u, wk, wg)
+        assert len(h) == (len(u) + 1) // 2 and np.all(h >= 0.0)
+        assert (h[0] == 0.0) == (n_panels % 2 == 1)
+        for w, w_half in ((wk, hk), (wg, hg)):
+            assert float((f(h) + f(-h)) @ w_half) \
+                == pytest.approx(float(f(u) @ w), rel=1e-14)
+        # the full grid is left as it was
+        for got, want in zip((u, wk, wg), full):
+            assert np.array_equal(got, want)
 
 
 def test_graded_first_grid_resolves_the_trap_phase():

@@ -14,6 +14,7 @@ from paramodes.fieldeval import field_at_point
 from paramodes import numerics
 from paramodes.numerics import (
     DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, oscillation_count,
+    folded_nodes,
 )
 from paramodes import rates, spectrum
 from paramodes.rates import (
@@ -498,7 +499,8 @@ def test_rate_engine_maps_once_per_z_tile(ybii_eta, monkeypatch):
 
     def counting_refine(estimate, *args):
         def counted(u, wk, wg):
-            estimates.append(len(range(0, len(u), rates._U_BLOCK)))
+            half = folded_nodes(u, wk, wg)[0]
+            estimates.append(len(range(0, len(half), rates._U_BLOCK)))
             return estimate(u, wk, wg)
         return refine(counted, *args)
 
@@ -610,3 +612,44 @@ def test_contraction_orders_agree_in_one_catalog(ybii_eta, dipole_axial,
         for t in (idx[0], idx[-1]):
             dense = mode_contribution_direct(*tasks[t], ybii_eta, zs[0])
             assert dense == pytest.approx(T[t, 0], rel=1e-8)
+
+
+@pytest.mark.parametrize("n_panels", [97, 100])
+def test_folded_rate_engine_matches_the_full_grid_sum(n_panels, ybii_eta,
+                                                      monkeypatch):
+    # two node blocks of the u >= 0 half; 97 panels put a node at u = 0.
+    # The E m=0 sigma=0 group is large (the A @ M order), the rest small.
+    kappas = np.linspace(-3.0, 3.0, 16)
+    tasks = [(ModeParams(omega=1.0, m=0, kappa=k, family="E"), 0)
+             for k in kappas]
+    tasks += [(ModeParams(omega=1.0, m=m, kappa=k, family=fam,
+                          coeffs=(1.0, 0.3j, 0.5)), sigma)
+              for fam, m in (("E", 1), ("B", 0), ("B", -1))
+              for k in (-2.1, 0.3) for sigma in SIGMAS]
+    assert rates.series_rows(ModeCatalog(tuple(m for m, _ in tasks[:16])),
+                             DipoleSpec((0.0, 0.0, 1.0)), ybii_eta)[0] <= 16
+    grid = numerics.window_nodes(n_panels, 6.0, 20.0)
+    assert len(folded_nodes(*grid)[0]) > rates._U_BLOCK
+    estimates = []
+
+    def one_grid(estimate, *args):
+        estimates.append(estimate(*grid))
+        return estimates[-1][0], 0.0
+    monkeypatch.setattr(rates, "refine", one_grid)
+    zs = [-6.0, 0.0, 2.5]
+    rates._catalog_T(tasks, ybii_eta, zs, DEFAULT_QUADRATURE)
+    u, wk, wg = grid
+    s, c = np.cosh(u) ** -1, -np.tanh(u)
+    base = s**2 * numerics.taper_window(u) \
+        * np.exp(-(ybii_eta.eta_z**2 * c**2 + ybii_eta.eta_x**2 * s**2) / 2)
+    phase = np.exp(-1j * np.outer(c, zs))
+    for t, (mode, sigma) in enumerate(tasks):
+        a = np.conj(spectrum.u_spectrum(mode, u)[SIGMAS.index(sigma)])
+        for got, w in zip(estimates[0], (wk, wg)):
+            want = 0.0
+            for p, e_r, gamma in _series_terms(
+                    abs(mode.m - sigma), ybii_eta.eta_x, ybii_eta.eta_z,
+                    DEFAULT_QUADRATURE.rel_tol):
+                want = want + gamma * np.abs(
+                    (w * a * base * c**p * s**e_r) @ phase) ** 2
+            assert np.max(np.abs(got[t] - want)) <= 1e-13 * want.max()

@@ -8,6 +8,7 @@ from paramodes.oracles import (
 )
 from paramodes.spectrum import (
     cross_with_khat, sigma_profile, mode_spectrum, u_spectrum,
+    unit_spectra, mirror_parity, mirrored_spectra,
 )
 
 
@@ -97,6 +98,25 @@ def test_u_spectrum_matches_theta_adapter():
                     want = sigma_profile(mode, sigma)(theta)
                     scale = max(np.max(np.abs(want)), 1e-300)
                     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_spectra_under_the_mirror_u_to_minus_u():
+    # theta -> pi - theta keeps sin, flips cos: the unit spectra pick up
+    # the parity signs exactly, and a full spectrum at -u is u_spectrum's
+    u = np.linspace(0.0, 8.0, 161)
+    s, c = 1.0 / np.cosh(u), -np.tanh(u)
+    for family in ("E", "B"):
+        assert np.array_equal(unit_spectra(family, s, -c),
+                              mirror_parity(family)[:, :, None]
+                              * unit_spectra(family, s, c))
+        for m, kappa in ((0, 0.64), (1, -3.7)):
+            mode = ModeParams(omega=1.0, m=m, kappa=kappa, family=family,
+                              coeffs=(1.0, 0.3j, 0.5))
+            got = mirrored_spectra(mode, u, s, c)
+            for side, uu in ((0, u), (1, -u)):
+                want = np.array(u_spectrum(mode, uu))
+                assert np.max(np.abs(got[:, side] - want)) \
+                    <= 1e-14 * np.max(np.abs(want))
 
 
 def test_b_mode_is_khat_cross_e_mode():

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import iv
 
 from paramodes.core import HBAR, C_LIGHT
-from paramodes.trap import lamb_dicke
+from paramodes.trap import LambDicke, lamb_dicke
 from paramodes.oracles import (
     form_factor, azimuthal_pair_integral, bessel_weight_profile,
 )
@@ -34,6 +34,17 @@ def test_lamb_dicke_rejects_nonpositive():
         lamb_dicke(-1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         lamb_dicke(1.0, 1.0, 0.0)
+
+
+def test_lamb_dicke_pair_checks_its_values():
+    for eta_x, eta_z in ((-0.2, 0.1), (np.nan, 0.1), (0.2, np.inf),
+                         (0.2, -1e-9)):
+        name = "eta_x" if not (np.isfinite(eta_x) and eta_x >= 0) else "eta_z"
+        with pytest.raises(ValueError,
+                           match=f"{name} must be finite and nonnegative"):
+            LambDicke(eta_x, eta_z)
+    # eta = 0 is a point trap, which the rate engine handles
+    assert LambDicke(0.0, 0.0) == LambDicke(0.0, 0.0)
 
 
 def _random_khat(rng, size=None):

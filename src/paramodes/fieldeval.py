@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModeParams, SIGMAS, cartesian_from_circular
-from .spectrum import sigma_profile, mirrored_spectra
+from .spectrum import sigma_profile, spectrum_triple
 from .numerics import (
     DEFAULT_QUADRATURE, oscillation_count, refine, folded_nodes,
     taper_window, sin_cos_theta, bessel_j, bessel_table, one_blas_thread,
@@ -67,7 +67,8 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     J_n(rho sin theta) are even, cos theta is odd and the kappa phase goes
     to its conjugate, so each grid works on its u >= 0 half:
     sum_half w J [(a(u) + a(-u)) cos(z c) + i (a(u) - a(-u)) sin(z c)].
-    Each grid builds the spectrum at u and -u once and one J_|n|(rho s)
+    Each grid builds the spectrum at u and -u in one table call, the
+    mirror's at (sin theta, -cos theta), and one J_|n|(rho s)
     table per distinct |n| (J_{-n} = (-1)^n J_n, and J_2 shares J_0 and
     J_1), in tiles of _BLOCK rho and z values whose buffers are allocated
     once per grid.  A tile's node sum is one real matmul, the
@@ -76,6 +77,9 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     BLAS thread, so the bits do not depend on the BLAS thread count.
     """
     rho, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (rho, z))
+    for name, v in (("rho", rho), ("z", z)):
+        if not v.size:
+            raise ValueError(f"no {name} values to evaluate")
     if not (np.isfinite(rho).all() and np.isfinite(z).all()):
         raise ValueError("rho and z values must be finite")
     if (rho < 0).any():
@@ -86,8 +90,11 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     def estimate(u, wk, wg):
         u, wk, wg = folded_nodes(u, wk, wg)
         s, c = sin_cos_theta(u)
-        a = mirrored_spectra(mode, u, s, c) \
-            * (sign * (s**2 * taper_window(u)))[:, None]
+        phase = np.exp(-2j * mode.kappa * u)
+        a = spectrum_triple(mode, np.concatenate((s, s)),
+                            np.concatenate((c, -c)),
+                            np.concatenate((phase, phase.conj()))) \
+            .reshape(3, 2, -1) * (sign * (s**2 * taper_window(u)))[:, None]
         # with even/odd = a(u) +- a(-u), the node sum of even cos + i odd sin
         # has real part Re(even) cos - Im(odd) sin and imaginary part
         # Im(even) cos + Re(odd) sin: coef[re/im, channel, cos/sin, node]

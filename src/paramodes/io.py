@@ -3,7 +3,7 @@
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -19,9 +19,11 @@ def config_hash(obj):
 
 def _atomic(path, data, mode):
     """Write via a sibling temp file and rename, so readers never see a
-    partial file."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    partial file; it gets open()'s mode, 0o666 less the umask."""
+    path = os.path.abspath(path)
+    tmp = os.path.join(os.path.dirname(path),
+                       f".tmp-{secrets.token_hex(8)}-{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(data)

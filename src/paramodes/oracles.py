@@ -14,6 +14,8 @@ slower route, or checks a property the production code relies on:
   motional form factor and its azimuthal reduction to I_|n|;
 - `hertz_component`, `khat`, `transversality_residual`: the Hertz
   potential and the transversality of the field spectra;
+- `cross_with_khat`, `curl_unit_spectra`: the unit spectra by explicit
+  curl products, against the closed-form table `spectrum.unit_spectra`;
 - `bessel_j_series`, `bessel_i_series`, `bessel_i`, `bessel_i_scaled`:
   Bessel functions, the first two as power series;
 - `u_from_theta` and `integrate_adaptive`: the inverse angle map and a
@@ -32,7 +34,7 @@ import numpy as np
 from scipy import special as _sp
 from scipy.special import gammaln
 
-from .core import ModeParams, SIGMAS
+from .core import ModeParams, B_MODE, SIGMAS
 from .fieldeval import FieldSample
 from .numerics import (
     DEFAULT_QUADRATURE, oscillation_count, refine, taper_window,
@@ -105,6 +107,31 @@ def hertz_component(mode: ModeParams, sigma, theta_k):
     theta_k = _check_theta(theta_k)
     phase = np.exp(-2j * mode.kappa * np.log(np.tan(theta_k / 2.0)))
     return mode.coeff(sigma) * phase / (2 * np.pi * np.sin(theta_k))
+
+
+def cross_with_khat(triple, sin_t, cos_t):
+    """Profile triple of k_hat x v for a component triple v of winding n.
+
+    In circular components the unit wavevector contributes
+    k_+ = (sin/2) e^{-i phi}, k_- = (sin/2) e^{+i phi}, k_0 = cos, and each
+    output component keeps its own winding, so the phi factors drop out of
+    the reduced profiles.
+    """
+    xp, xm, x0 = triple
+    yp = 1j * (0.5 * sin_t * x0 - cos_t * xp)
+    ym = 1j * (cos_t * xm - 0.5 * sin_t * x0)
+    y0 = 1j * sin_t * (xp - xm)
+    return yp, ym, y0
+
+
+def curl_unit_spectra(family, sin_t, cos_t):
+    """unit_spectra on 1-D nodes by the curls themselves: f = i k x pi (E
+    family) or i k x (k x pi) (B family) of each unit potential
+    e_j / sin theta, with omega/c = 1."""
+    out = cross_with_khat(tuple(np.eye(3)[:, :, None] / sin_t), sin_t, cos_t)
+    if family == B_MODE:
+        out = cross_with_khat(out, sin_t, cos_t)
+    return 1j * np.array(out)
 
 
 def khat(theta_k, phi_k):

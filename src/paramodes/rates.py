@@ -34,7 +34,7 @@ import numpy as np
 from .core import (ModeParams, DipoleSpec, SIGMAS, HBAR, C_LIGHT, EPS0,
                    DEFAULT_COEFFS)
 from .trap import LambDicke
-from .spectrum import mirror_parity, unit_spectra
+from .spectrum import unit_spectra
 from .numerics import (
     DEFAULT_QUADRATURE, oscillation_count, refine, folded_nodes,
     taper_window, sin_cos_theta, one_blas_thread,
@@ -291,9 +291,9 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     The grid is mirror-symmetric, so blocks take its u >= 0 half and build
     every per-node table there once: under u -> -u, sin theta, the taper
     and the trap Gaussian are even, the kappa and trap phases go to their
-    conjugates, the unit spectra flip by mirror_parity and the series rows
-    by (-1)^p.  A block then holds its nodes as [+u Gauss, -u Gauss,
-    +u rest, -u rest], and w_u is the Kronrod weight, so the Gauss
+    conjugates, the unit spectra are the same table at (sin, -cos) and the
+    series rows flip by (-1)^p.  A block then holds its nodes as [+u Gauss,
+    -u Gauss, +u rest, -u rest], and w_u is the Kronrod weight, so the Gauss
     estimate rescales the leading nodes by wg / wk and reads no node of
     Gauss weight zero.
     """
@@ -339,11 +339,10 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
         s, c = sin_cos_theta(u)
         kappa_phase = np.exp(2j * np.multiply.outer(kappas, u))
         kappa_phase = unfold(kappa_phase, kappa_phase.conj(), axis=1)
-        unit = {}
-        for fam in families:
-            half = np.conj(unit_spectra(fam, s, c))
-            unit[fam] = unfold(half, half * mirror_parity(fam)[:, :, None],
-                               axis=2)
+        # one table per family on every node: at -u, cos theta flips
+        s_all, c_all = unfold(s, s), unfold(c, -c)
+        unit = {fam: np.conj(unit_spectra(fam, s_all, c_all))
+                for fam in families}
 
         def spectra(groups):  # A[t, u] of the groups' tasks, stacked
             return np.concatenate([

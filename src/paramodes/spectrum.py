@@ -9,12 +9,14 @@ and the field spectrum follows from one curl (E family, f = i k x pi) or two
 (B family, f = i k x (k x pi)).  Everything is kept in circular components
 (e_+ = e_x + i e_y, e_- = e_x - i e_y, e_0 = e_z) where the cross products
 preserve the azimuthal winding n = m - sigma of each component, so the
-phi_k dependence stays exactly separable.
+phi_k dependence stays exactly separable.  Every spectrum of the package
+is the kappa phase times the closed-form curls of the unit potentials,
+`unit_spectra`, contracted with the coefficients.
 """
 
 import numpy as np
 
-from .core import ModeParams, B_MODE, E_MODE, SIGMAS, cartesian_from_circular
+from .core import ModeParams, E_MODE, SIGMAS, cartesian_from_circular
 from .numerics import sin_cos_theta
 
 
@@ -25,104 +27,61 @@ def _check_theta(theta_k):
     return theta_k
 
 
-def cross_with_khat(triple, sin_t, cos_t):
-    """Profile triple of k_hat x v for a component triple v of winding n.
-
-    In circular components the unit wavevector contributes
-    k_+ = (sin/2) e^{-i phi}, k_- = (sin/2) e^{+i phi}, k_0 = cos, and each
-    output component keeps its own winding, so the phi factors drop out of
-    the reduced profiles.
-    """
-    xp, xm, x0 = triple
-    yp = 1j * (0.5 * sin_t * x0 - cos_t * xp)
-    ym = 1j * (cos_t * xm - 0.5 * sin_t * x0)
-    y0 = 1j * sin_t * (xp - xm)
-    return yp, ym, y0
-
-
-def _curls(family, pot, sin_t, cos_t):
-    """Field profile triple of a potential triple: one curl for the E
-    family, two for the B family."""
-    out = cross_with_khat(pot, sin_t, cos_t)
-    if family == B_MODE:
-        out = cross_with_khat(out, sin_t, cos_t)
-    # f = i (omega/c) k x ...; omega/c = 1 in c/omega units
-    return tuple(1j * y for y in out)
-
-
-def _spectrum_triple(mode: ModeParams, sin_t, cos_t, phase):
-    """Circular profile triple (a_+, a_-, a_0) of the field spectrum.
-
-    Takes sin(theta_k), cos(theta_k) and the kappa phase
-    (tan theta_k/2)^{-2 i kappa}; in u = ln tan(theta_k/2) these are
-    sech u, -tanh u and e^{-2 i kappa u}.  f_sigma = a_sigma e^{i n phi_k}
-    / (2 pi).
-    """
-    pot = tuple(mode.coeff(s) * phase / sin_t for s in SIGMAS)
-    return _curls(mode.family, pot, sin_t, cos_t)
-
-
 def unit_spectra(family, sin_t, cos_t):
-    """kappa = 0 profiles of the unit potentials on 1-D nodes, shape
-    (3, 3, len(sin_t)).
+    """kappa = 0 profiles of the unit potentials, shape (3, 3) + the shape
+    of sin_t: entry [i, j] is a_{SIGMAS[i]} of the mode whose only nonzero
+    coefficient is c_{SIGMAS[j]} = 1.  With s = sin, c = cos theta and
+    d = -(1 + c^2) / (2 s), the tables are
 
-    Entry [i, j] is a_{SIGMAS[i]} of the mode whose only nonzero potential
-    coefficient is c_{SIGMAS[j]} = 1.  The spectrum is linear in the
-    coefficients and the kappa phase multiplies it, so any mode of the
-    family has a_i = e^{-2 i kappa u} sum_j c_j [i, j]: one evaluation
-    serves every mode of a family on the same nodes.
+        E (real):       [[c/s, 0, -1/2], [0, -c/s, 1/2], [-1, 1, 0]]
+        B (imaginary):  i [[d, s/2, c/2], [s/2, d, c/2], [c, c, -s]]
+
+    Any mode of the family has a_i = e^{-2 i kappa u} sum_j c_j [i, j].
+    The mirror u -> -u keeps s and flips c: its table is this one at
+    (s, -c).
     """
-    unit = np.eye(3)[:, :, None] / sin_t  # [s, j]: c_j delta_sj / sin
-    return np.array(_curls(family, tuple(unit), sin_t, cos_t))
+    if family == E_MODE:
+        out = np.zeros((3, 3) + np.shape(sin_t))
+        out[0, 0] = cos_t / sin_t
+        out[1, 1] = -out[0, 0]
+        out[0, 2], out[1, 2], out[2, 0], out[2, 1] = -0.5, 0.5, -1.0, 1.0
+        return out
+    out = np.zeros((3, 3) + np.shape(sin_t), dtype=complex)
+    t = out.imag
+    t[0, 0] = t[1, 1] = -(1.0 + cos_t**2) / (2.0 * sin_t)
+    t[0, 1] = t[1, 0] = 0.5 * sin_t
+    t[0, 2] = t[1, 2] = 0.5 * cos_t
+    t[2, 0] = t[2, 1] = cos_t
+    t[2, 2] = -sin_t
+    return out
 
 
-# circular components of the mirror z -> -z, in SIGMAS order: e_+ and e_-
-# keep their sign, e_0 flips
-_MIRROR = np.array([1.0, 1.0, -1.0])
-
-
-def mirror_parity(family):
-    """(3, 3) signs with unit_spectra(family, s, -c) = sign *
-    unit_spectra(family, s, c).
-
-    theta -> pi - theta reflects k_hat by R: z -> -z, which multiplies
-    circular component i by _MIRROR[i].  A reflection has determinant -1,
-    so k_hat x v at R k_hat is -R (k_hat x R v): each curl adds a sign,
-    and entry [i, j] picks up (-1)^curls _MIRROR[i] _MIRROR[j].
-    """
-    return (-1.0 if family == E_MODE else 1.0) * np.outer(_MIRROR, _MIRROR)
+def spectrum_triple(mode: ModeParams, sin_t, cos_t, phase):
+    """Circular profile triple (a_+, a_-, a_0), shape (3,) + the shape of
+    sin_t, with f_sigma = a_sigma e^{i n phi_k} / (2 pi), from sin theta_k,
+    cos theta_k and the kappa phase (tan theta_k/2)^{-2 i kappa}; in
+    u = ln tan(theta_k/2) these are sech u, -tanh u and e^{-2 i kappa u}."""
+    unit = unit_spectra(mode.family, sin_t, cos_t)
+    cp, cm, c0 = mode.coeffs
+    return phase * (cp * unit[:, 0] + cm * unit[:, 1] + c0 * unit[:, 2])
 
 
 def u_spectrum(mode: ModeParams, u):
     """Profile triple (a_+, a_-, a_0) at u = ln tan(theta_k/2), without theta."""
     u = np.asarray(u, dtype=float)
-    return _spectrum_triple(mode, *sin_cos_theta(u),
-                            np.exp(-2j * mode.kappa * u))
-
-
-def mirrored_spectra(mode: ModeParams, u, sin_t, cos_t):
-    """Profile triples at u and at its mirror -u, shape (3, 2, len(u)),
-    given sin_t = sech u and cos_t = -tanh u.  The mirror keeps sin theta,
-    flips cos theta and conjugates the kappa phase, so one exp serves both.
-    """
-    phase = np.exp(-2j * mode.kappa * np.asarray(u, dtype=float))
-    a = _spectrum_triple(mode, np.concatenate((sin_t, sin_t)),
-                         np.concatenate((cos_t, -cos_t)),
-                         np.concatenate((phase, phase.conj())))
-    return np.reshape(a, (3, 2, len(phase)))
+    return spectrum_triple(mode, *sin_cos_theta(u),
+                           np.exp(-2j * mode.kappa * u))
 
 
 def _theta_spectrum(mode: ModeParams, theta_k):
     theta_k = _check_theta(theta_k)
     phase = np.exp(-2j * mode.kappa * np.log(np.tan(theta_k / 2.0)))
-    return _spectrum_triple(mode, np.sin(theta_k), np.cos(theta_k), phase)
+    return spectrum_triple(mode, np.sin(theta_k), np.cos(theta_k), phase)
 
 
 def sigma_profile(mode: ModeParams, sigma):
-    """Reduced 1D profile a_sigma with f_sigma = a_sigma(theta) e^{i n phi} / (2 pi).
-
-    Returns a vectorized callable carrying .sigma and .winding.
-    """
+    """Reduced 1D profile a_sigma with f_sigma = a_sigma(theta) e^{i n phi}
+    / (2 pi): a vectorized callable carrying .sigma and .winding."""
     idx = SIGMAS.index(sigma)
 
     def profile(theta_k):
@@ -136,9 +95,6 @@ def sigma_profile(mode: ModeParams, sigma):
 def mode_spectrum(mode: ModeParams, theta_k, phi_k):
     """Cartesian field spectrum f(theta_k, phi_k), shape (3,) + broadcast shape."""
     phi_k = np.asarray(phi_k, dtype=float)
-    triple = _theta_spectrum(mode, theta_k)
-    comps = []
-    for sigma, a in zip(SIGMAS, triple):
-        n = mode.m - sigma
-        comps.append(a * np.exp(1j * n * phi_k) / (2 * np.pi))
-    return cartesian_from_circular(*comps)
+    return cartesian_from_circular(*(
+        a * np.exp(1j * (mode.m - sigma) * phi_k) / (2 * np.pi)
+        for sigma, a in zip(SIGMAS, _theta_spectrum(mode, theta_k))))

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 import paramodes
 from paramodes import fieldeval, numerics, rates
 from paramodes.cli import main, RunConfig, build_parser, _load_config, _merge
-from paramodes.io import config_hash, format_float, write_csv
+from paramodes.io import (config_hash, format_float, write_csv,
+                          write_json, write_npz)
 from paramodes.presets import load_preset, preset_names
 
 TINY_RATE = {
@@ -460,3 +461,23 @@ def test_write_csv_deterministic(tmp_path):
         write_csv(str(p), ("x", "fam", "n"), rows, metadata={"k": "v"})
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text().startswith("# k: v\nx,fam,n\n0.1,E,2\n")
+
+
+@pytest.mark.parametrize("umask, want", [(0o022, 0o644), (0o077, 0o600)])
+def test_result_files_take_the_umask(tmp_path, umask, want):
+    # the writers create files as open() does, with 0o666 less the umask;
+    # a failed write, here a rename onto a directory, leaves no temp file
+    (tmp_path / "taken").mkdir()
+    old = os.umask(umask)
+    try:
+        write_json(str(tmp_path / "a.json"), {"k": 1})
+        write_csv(str(tmp_path / "b.csv"), ("x",), [(0.5,)])
+        write_npz(str(tmp_path / "c.npz"), x=np.zeros(2))
+        with pytest.raises(OSError):
+            write_json(str(tmp_path / "taken"), {"k": 1})
+    finally:
+        os.umask(old)
+    names = ["a.json", "b.csv", "c.npz"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names + ["taken"]
+    for name in names:
+        assert (tmp_path / name).stat().st_mode & 0o777 == want

@@ -95,6 +95,13 @@ def test_field_grids_are_checked_before_any_quadrature(monkeypatch):
         field_at_point(mode, (-1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="must be finite"):
         axis_intensity_scan(mode, [0.0, np.inf])
+    for call, name in ((lambda: intensity_map(mode, "z", [], [0, 1]), "rho"),
+                       (lambda: intensity_map(mode, "z", [0], []), "z"),
+                       (lambda: axis_intensity_scan(mode, []), "z"),
+                       (lambda: isointensity_grid(mode, 0.5, [], [0], [0]),
+                        "rho")):
+        with pytest.raises(ValueError, match=f"no {name} values"):
+            call()
 
 
 def test_localization_plane():

@@ -4,11 +4,11 @@ import pytest
 from paramodes.core import ModeParams, SIGMAS, circular_components, cartesian_from_circular
 from paramodes.numerics import theta_from_u
 from paramodes.oracles import (
-    hertz_component, khat, transversality_residual, u_from_theta,
+    cross_with_khat, curl_unit_spectra, hertz_component, khat,
+    transversality_residual, u_from_theta,
 )
 from paramodes.spectrum import (
-    cross_with_khat, sigma_profile, mode_spectrum, u_spectrum,
-    unit_spectra, mirror_parity, mirrored_spectra,
+    sigma_profile, mode_spectrum, spectrum_triple, u_spectrum, unit_spectra,
 )
 
 
@@ -100,23 +100,32 @@ def test_u_spectrum_matches_theta_adapter():
                     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
+def test_unit_spectra_match_the_curl_derivation():
+    # the closed-form table against the explicit curl products, u = 0
+    # (cos theta = 0) included, with the same exact zeros
+    u = np.arange(-240, 241) / 20.0
+    s, c = 1.0 / np.cosh(u), -np.tanh(u)
+    for family in ("E", "B"):
+        got = unit_spectra(family, s, c)
+        want = curl_unit_spectra(family, s, c)
+        assert got.shape == want.shape == (3, 3, len(u))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        assert np.array_equal(got == 0, want == 0)
+
+
 def test_spectra_under_the_mirror_u_to_minus_u():
-    # theta -> pi - theta keeps sin, flips cos: the unit spectra pick up
-    # the parity signs exactly, and a full spectrum at -u is u_spectrum's
+    # theta -> pi - theta keeps sin, flips cos and conjugates the kappa
+    # phase: the table at (s, -c) gives u_spectrum at -u
     u = np.linspace(0.0, 8.0, 161)
     s, c = 1.0 / np.cosh(u), -np.tanh(u)
     for family in ("E", "B"):
-        assert np.array_equal(unit_spectra(family, s, -c),
-                              mirror_parity(family)[:, :, None]
-                              * unit_spectra(family, s, c))
         for m, kappa in ((0, 0.64), (1, -3.7)):
             mode = ModeParams(omega=1.0, m=m, kappa=kappa, family=family,
                               coeffs=(1.0, 0.3j, 0.5))
-            got = mirrored_spectra(mode, u, s, c)
-            for side, uu in ((0, u), (1, -u)):
-                want = np.array(u_spectrum(mode, uu))
-                assert np.max(np.abs(got[:, side] - want)) \
-                    <= 1e-14 * np.max(np.abs(want))
+            phase = np.exp(-2j * kappa * u)
+            got = spectrum_triple(mode, s, -c, phase.conj())
+            want = u_spectrum(mode, -u)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_b_mode_is_khat_cross_e_mode():

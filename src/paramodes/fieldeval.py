@@ -62,7 +62,9 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     shape (3, n_z, n_rho) in SIGMAS order, without the winding phase.
 
     One refine() over the whole request, sized by max|z| and max rho and
-    graded by max|z|, with one convergence scale per sigma channel.  The
+    graded by max|z|, with one convergence scale per sigma channel: it
+    evaluates this kernel on a first grid and on twice its panels, and
+    returns the finer one's integrals once the two agree.  The
     grid is mirror-symmetric, and under u -> -u sin theta and every
     J_n(rho sin theta) are even, cos theta is odd and the kappa phase goes
     to its conjugate, so each grid works on its u >= 0 half:
@@ -71,10 +73,11 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     mirror's at (sin theta, -cos theta), and one J_|n|(rho s)
     table per distinct |n| (J_{-n} = (-1)^n J_n, and J_2 shares J_0 and
     J_1), in tiles of _BLOCK rho and z values whose buffers are allocated
-    once per grid.  A tile's node sum is one real matmul, the
-    (re/im x 3 rho, cos/sin x nodes) Bessel-times-spectrum table against
-    the (2 z, cos/sin x nodes) weighted cos and sin of z cos theta, on one
-    BLAS thread, so the bits do not depend on the BLAS thread count.
+    once per grid.  The Kronrod weights go into the spectrum, so a tile's
+    node sum is one real matmul, the (re/im x 3 rho, cos/sin x nodes)
+    weighted Bessel-times-spectrum table against the (z, cos/sin x nodes)
+    cos and sin of z cos theta, on one BLAS thread, so the bits do not
+    depend on the BLAS thread count.
     """
     rho, z = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (rho, z))
     for name, v in (("rho", rho), ("z", z)):
@@ -87,14 +90,15 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     ns = [mode.m - sigma for sigma in SIGMAS]
     sign = np.array([(-1.0) ** min(n, 0) for n in ns])[:, None]
 
-    def estimate(u, wk, wg):
-        u, wk, wg = folded_nodes(u, wk, wg)
+    def estimate(u, wk):
+        u, wk = folded_nodes(u, wk)
         s, c = sin_cos_theta(u)
         phase = np.exp(-2j * mode.kappa * u)
         a = spectrum_triple(mode, np.concatenate((s, s)),
                             np.concatenate((c, -c)),
                             np.concatenate((phase, phase.conj()))) \
-            .reshape(3, 2, -1) * (sign * (s**2 * taper_window(u)))[:, None]
+            .reshape(3, 2, -1) \
+            * (sign * (wk * s**2 * taper_window(u)))[:, None]
         # with even/odd = a(u) +- a(-u), the node sum of even cos + i odd sin
         # has real part Re(even) cos - Im(odd) sin and imaginary part
         # Im(even) cos + Re(odd) sin: coef[re/im, channel, cos/sin, node]
@@ -103,13 +107,12 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
         np.subtract(a.imag[:, 1], a.imag[:, 0], out=coef[0, :, 1])
         np.add(a.imag[:, 0], a.imag[:, 1], out=coef[1, :, 0])
         np.subtract(a.real[:, 0], a.real[:, 1], out=coef[1, :, 1])
-        out = np.empty((2, 3, len(z), len(rho)), dtype=complex)
+        out = np.empty((3, len(z), len(rho)), dtype=complex)
         # tile buffers, once per grid, flat so that a short last tile is a
         # contiguous leading part of each
         n_rho, n_z = min(_BLOCK, len(rho)), min(_BLOCK, len(z))
         L_buf = np.empty(2 * 3 * n_rho * 2 * len(u))
-        arg_buf = np.empty((n_z, len(u)))
-        trig_buf = np.empty(2 * n_z * 2 * len(u))
+        trig_buf = np.empty(n_z * 2 * len(u))
         for r in range(0, len(rho), _BLOCK):
             rb = slice(r, r + _BLOCK)
             x = np.multiply.outer(rho[rb], s)
@@ -120,21 +123,20 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
                     np.multiply(J[abs(n)][:, None], coef_n, out=L_n)
             for q in range(0, len(z), _BLOCK):
                 zb = slice(q, q + _BLOCK)
-                arg = np.multiply.outer(z[zb], c, out=arg_buf[:len(z[zb])])
-                # (Kronrod, Gauss) weights times (cos, sin) of z cos theta
-                trig = trig_buf[:4 * arg.size].reshape(2, len(arg), 2, -1)
-                kron, gauss = trig
-                np.cos(arg, out=gauss[:, 0])
-                np.sin(arg, out=gauss[:, 1])
-                np.multiply(gauss, wk, out=kron)
-                np.multiply(gauss, wg, out=gauss)
-                # [re/im s r, k z] -> out[k, s, z, r]
+                n_zb = len(z[zb])
+                # (cos, sin) of z cos theta, the argument built in the cos
+                # half and overwritten last
+                trig = trig_buf[:2 * n_zb * len(u)].reshape(n_zb, 2, -1)
+                arg = np.multiply.outer(z[zb], c, out=trig[:, 0])
+                np.sin(arg, out=trig[:, 1])
+                np.cos(arg, out=arg)
+                # [re/im s r, z] -> out[s, z, r]
                 part = (L.reshape(6 * len(x), -1)
-                        @ trig.reshape(2 * len(arg), -1).T).reshape(
-                    2, 3, len(x), 2, len(arg)).transpose(0, 3, 1, 4, 2)
-                out.real[:, :, zb, rb] = part[0]
-                out.imag[:, :, zb, rb] = part[1]
-        return out[0], out[1]
+                        @ trig.reshape(n_zb, -1).T).reshape(
+                    2, 3, len(x), n_zb).swapaxes(2, 3)
+                out.real[:, zb, rb] = part[0]
+                out.imag[:, zb, rb] = part[1]
+        return out
 
     zmax = float(np.abs(z).max())
     with one_blas_thread():

@@ -8,19 +8,21 @@ at |u| <= WINDOW with a raised-cosine taper over its outer TAPER_FRACTION;
 endpoint oscillations the taper removes are unobservable downstream (trap
 Gaussians regularize them).
 
-Integration is composite 15-point Kronrod with the embedded 7-point Gauss
-rule as error estimate.  The initial panel count is PANELS_PER_OSCILLATION
-times the phase oscillation count, at least MIN_PANELS; refinement doubles
-the panel count globally, which keeps results deterministic and vectorizes
-over many integrands at once.  Only the tolerance is a setting
-(QuadratureConfig); panel counts are module constants.  One rule places
-the panels of every grid: edges always fall on the taper knees, where the
-taper's second derivative jumps, and the axial phase z cos(theta) of a
-field or a rate grades the panels toward u = 0, where its oscillations
-crowd; at z = 0 the grading vanishes and the panels are equal within each
-segment.  Every grid is exactly mirror-symmetric under u -> -u (theta ->
-pi - theta), so the engines evaluate their per-node tables on the u >= 0
-half (folded_nodes) and get the other half by symmetry.
+Integration is composite 15-point Kronrod (QUADPACK's K15 rule), and the
+error estimate is the difference of two successive Kronrod estimates: the
+first grid has PANELS_PER_OSCILLATION times the phase oscillation count
+panels, at least MIN_PANELS, and every estimate is checked against the
+same rule on twice the panels.  Refinement doubles the panel count
+globally, which keeps results deterministic and vectorizes over many
+integrands at once.  Only the tolerance is a setting (QuadratureConfig);
+panel counts are module constants.  One rule places the panels of every
+grid: edges always fall on the taper knees, where the taper's second
+derivative jumps, and the axial phase z cos(theta) of a field or a rate
+grades the panels toward u = 0, where its oscillations crowd; at z = 0 the
+grading vanishes and the panels are equal within each segment.  Every grid
+is exactly mirror-symmetric under u -> -u (theta -> pi - theta), so the
+engines evaluate their per-node tables on the u >= 0 half (folded_nodes)
+and get the other half by symmetry.
 
 Both engines run their BLAS calls inside one_blas_thread(), which pins
 numpy's bundled OpenBLAS to one thread, so that no result depends on the
@@ -46,45 +48,30 @@ WINDOW = 12.0
 TAPER_FRACTION = 0.2
 KNEE = (1.0 - TAPER_FRACTION) * WINDOW
 # first-grid panels per phase oscillation, and the fewest first-grid
-# panels
-PANELS_PER_OSCILLATION = 2.0
-MIN_PANELS = 24
+# panels; the first accepted grid, twice the first, has at least 24
+PANELS_PER_OSCILLATION = 0.5
+MIN_PANELS = 12
 # the most panels of any grid, and the only bound on refine()'s doublings:
 # 245,760 nodes keep the field kernel's tile buffers, about 3.5 KB a node,
 # under 1 GB.  The bundled presets, the benchmark and the test suite reach
 # at most 3,500 panels.
 MAX_PANELS = 16_384
 
-# 15-point Kronrod abscissae (positive half) and weights, with the embedded
-# 7-point Gauss weights; standard QUADPACK dqk15 constants.
-_XGK = np.array([
+# 15-point Kronrod abscissae (positive half) and weights; standard QUADPACK
+# dqk15 constants
+_XK = np.array([
     0.991455371120813, 0.949107912342759, 0.864864423359769,
     0.741531185599394, 0.586087235467691, 0.405845151377397,
     0.207784955007898, 0.0,
 ])
-_WGK = np.array([
+_WK = np.array([
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728,
 ])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
-
-
-def _full_rule():
-    # nodes ordered across [-1, 1]; Gauss weights nonzero on the embedded subset
-    x = np.concatenate([-_XGK[:7], _XGK[::-1]])
-    wk = np.concatenate([_WGK[:7], _WGK[::-1]])
-    wg = np.zeros(15)
-    wg[1:7:2] = _WG[:3]
-    wg[7] = _WG[3]
-    wg[9:15:2] = _WG[2::-1]
-    return x, wk, wg
-
-
-_X15, _WK15, _WG15 = _full_rule()
+# nodes ordered across [-1, 1]
+_X15 = np.concatenate([-_XK[:7], _XK[::-1]])
+_WK15 = np.concatenate([_WK[:7], _WK[::-1]])
 
 
 class QuadratureError(RuntimeError):
@@ -102,8 +89,9 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        # below 1e-12 the K15/G7 residual, which stalls near 2e-14, would
-        # only fail after every doubling up to MAX_PANELS
+        # below 1e-12 the difference of successive Kronrod estimates, which
+        # stalls near 3e-15 of its row's scale, would only fail after every
+        # doubling up to MAX_PANELS
         if not 1e-12 <= self.rel_tol <= 1e-2:
             raise ValueError("rel_tol must lie in [1e-12, 1e-2]")
 
@@ -112,31 +100,34 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def _k15_nodes(edges):
-    """Composite K15 nodes and (Kronrod, Gauss) weights on panel edges."""
+    """Composite K15 nodes and weights on panel edges."""
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * np.diff(edges)[:, None]
-    return ((mid + half * _X15).ravel(), (half * _WK15).ravel(),
-            (half * _WG15).ravel())
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * _X15).ravel(), (half * _WK15).ravel()
 
 
 def panel_nodes(n_panels, a, b):
-    """Composite K15 nodes and (Kronrod, Gauss) weights on [a, b]."""
-    return _k15_nodes(np.linspace(a, b, n_panels + 1))
+    """Composite K15 nodes and weights on n_panels equal panels of [a, b],
+    and the n_panels + 1 panel edges."""
+    edges = np.linspace(a, b, n_panels + 1)
+    return (*_k15_nodes(edges), edges)
+
+
+_G_TABLE = np.linspace(0.0, WINDOW, 33)
 
 
 def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
-    """Composite K15 nodes and (Kronrod, Gauss) weights over |u| <= WINDOW,
-    with panel edges on the taper knees +-KNEE, where the taper's second
-    derivative jumps, so no panel straddles a knee; n_panels >= 3.
+    """Composite K15 nodes and weights over |u| <= WINDOW, with panel
+    edges on the taper knees +-KNEE, where the taper's second derivative
+    jumps, so no panel straddles a knee; n_panels >= 3.
 
     The axial-phase amplitude z (a rate's trap center, a field point's
     height) grades the panels: the phase z tanh u oscillates at the local
     rate |z| sech^2 u, so its 2|z|/2pi oscillations crowd near u = 0, while
     the rest of n_oscillations (the kappa and rho phases) spread evenly.
     Segments get panels in proportion to the increase of
-    (ppo = PANELS_PER_OSCILLATION)
 
-        G(u) = (ppo rest + MIN_PANELS) u / (2W) + ppo |z| tanh(u) / 2pi,
+        G(u) = (rest + MIN_PANELS) u / (2W) + |z| tanh(u) / 2pi,
         rest = n_oscillations - |z| / pi,
 
     and inside each segment the edges equidistribute G.  At z = 0, G is
@@ -146,10 +137,9 @@ def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
     centers a panel, and its middle node, on u = 0.
     """
     W, knee = WINDOW, KNEE
-    ppo = PANELS_PER_OSCILLATION
     rest = max(n_oscillations - abs(z) / np.pi, 0.0)
-    alpha = (ppo * rest + MIN_PANELS) / (2 * W)
-    beta = ppo * abs(z) / (2 * np.pi)
+    alpha = (rest + MIN_PANELS) / (2 * W)
+    beta = abs(z) / (2 * np.pi)
 
     def G(u):
         return alpha * u + beta * np.tanh(u)
@@ -165,9 +155,9 @@ def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
     # steps, which reach round-off for any ratio of beta to alpha
     t = np.concatenate((
         G_knee * np.arange(2 - n_mid % 2, n_mid, 2) / n_mid,
-        np.linspace(G_knee, G_W, n_taper + 1)[1:-1]))
-    table = np.linspace(0.0, W, 33)
-    u = np.interp(t, G(table), table)
+        # np.linspace(G_knee, G_W, n_taper + 1)[1:-1], bit for bit
+        np.arange(1, n_taper) * ((G_W - G_knee) / n_taper) + G_knee))
+    u = np.interp(t, G(_G_TABLE), _G_TABLE)
     for _ in range(4):
         u -= (G(u) - t) / (alpha + beta / np.cosh(u) ** 2)
     k = (n_mid - 1) // 2
@@ -177,17 +167,16 @@ def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
         (-half[::-1], [0.0] * (1 - n_mid % 2), half)))
 
 
-def folded_nodes(u, wk, wg):
+def folded_nodes(u, wk):
     """The u >= 0 half of a window_nodes grid, whose mirror u -> -u is
-    exact: (u, wk, wg) of the half, where a node at u = 0 (odd panel
-    counts) keeps half its weights, since a sum over the half counts each
-    node for itself and its mirror.  Returns copies."""
+    exact: (u, wk) of the half, where a node at u = 0 (odd panel counts)
+    keeps half its weight, since a sum over the half counts each node for
+    itself and its mirror.  Returns copies."""
     h = len(u) // 2
-    u, wk, wg = (x[h:].copy() for x in (u, wk, wg))
+    u, wk = u[h:].copy(), wk[h:].copy()
     if u[0] == 0.0:
         wk[0] *= 0.5
-        wg[0] *= 0.5
-    return u, wk, wg
+    return u, wk
 
 
 def taper_window(u):
@@ -209,37 +198,43 @@ def oscillation_count(kappa, z, rho):
 def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
     """The refinement driver of every angular quadrature.
 
-    estimate(u, wk, wg) returns the (Kronrod, Gauss) pair of whatever the
-    integrals reduce to (e.g. a quadratic form) on the nodes u of
-    window_nodes, graded by the largest |z| of the request.  Panels double
-    until, for each index of the estimate's leading axis, the pair agrees
-    to rel_tol of that row's largest Kronrod magnitude, plus an absolute
-    floor; an estimate with ndim <= 1 is one row.  Returns
-    (Kronrod estimate, largest residual).
+    estimate(u, wk) returns the K15 estimate of whatever the integrals
+    reduce to (e.g. a quadratic form) on the nodes u and weights wk of
+    window_nodes, graded by the largest |z| of the request.  The first grid
+    is checked against twice its panels, and panels double until, for each
+    index of the estimate's leading axis, two successive estimates agree to
+    rel_tol of that row's largest magnitude on the finer grid, plus an
+    absolute floor; an estimate with ndim <= 1 is one row.  Returns (the
+    finer grid's estimate, largest difference), where the difference bounds
+    the coarser grid's error.
 
-    MAX_PANELS is the one bound: a first grid above it raises ValueError
-    before any node is built, and a grid that fails to converge when its
-    doubling would pass MAX_PANELS raises QuadratureError.
+    MAX_PANELS is the one bound: a first grid whose check grid is above it
+    raises ValueError before any node is built, and a pair that fails to
+    converge when the next doubling would pass MAX_PANELS raises
+    QuadratureError with that pair's difference.
     """
     n_panels = max(MIN_PANELS,
                    int(np.ceil(n_oscillations * PANELS_PER_OSCILLATION)))
-    if n_panels > MAX_PANELS:
+    if 2 * n_panels > MAX_PANELS:
         raise ValueError(
             f"{n_oscillations:.4g} phase oscillations need a first grid of "
-            f"{n_panels} panels, above the cap MAX_PANELS = {MAX_PANELS}")
+            f"{n_panels} panels, checked on {2 * n_panels}, above the cap "
+            f"MAX_PANELS = {MAX_PANELS}")
+    coarse = estimate(*window_nodes(n_panels, z, n_oscillations))
     for refinements in count():
-        est_k, est_g = estimate(*window_nodes(n_panels, z, n_oscillations))
-        rows = len(est_k) if np.ndim(est_k) > 1 else 1
-        resid = np.abs(est_k - est_g).reshape(rows, -1).max(axis=1, initial=0.0)
-        scale = np.abs(est_k).reshape(rows, -1).max(axis=1, initial=0.0)
+        n_panels *= 2
+        fine = estimate(*window_nodes(n_panels, z, n_oscillations))
+        rows = len(fine) if np.ndim(fine) > 1 else 1
+        resid = np.abs(fine - coarse).reshape(rows, -1).max(axis=1, initial=0.0)
+        scale = np.abs(fine).reshape(rows, -1).max(axis=1, initial=0.0)
         if np.all(resid <= cfg.rel_tol * np.maximum(scale, 1e-30) + 1e-15):
-            return est_k, float(resid.max())
+            return fine, float(resid.max())
         if 2 * n_panels > MAX_PANELS:
             raise QuadratureError(
                 f"quadrature did not converge after {refinements} "
                 f"refinements; {2 * n_panels} panels would pass "
                 f"MAX_PANELS = {MAX_PANELS}", float(resid.max()))
-        n_panels *= 2
+        coarse = fine
 
 
 @lru_cache(maxsize=1)

@@ -49,9 +49,8 @@ from .trap import LambDicke
 def integrate_adaptive(values_at, n_oscillations, cfg=DEFAULT_QUADRATURE):
     """Integrate values_at(u), whose last axis runs over the nodes u, with
     one refine() shared by every integrand."""
-    def estimate(u, wk, wg):
-        vals = values_at(u)
-        return vals @ wk, vals @ wg
+    def estimate(u, wk):
+        return values_at(u) @ wk
 
     return refine(estimate, n_oscillations, cfg)
 
@@ -248,7 +247,7 @@ def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
     z_center = float(z_center)
     n = mode.m - sigma
 
-    def estimate(u, wk, wg):
+    def estimate(u, wk):
         s, c = sin_cos_theta(u)
         # conjugate side of the quadratic form supplies e^{-iZc}
         v = s**2 * u_spectrum(mode, u)[SIGMAS.index(sigma)] \
@@ -257,13 +256,13 @@ def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
         kernel = np.exp(-eta.eta_z**2 * dz**2 / 2.0) \
             * np.exp(-eta.eta_x**2 * (s[:, None]**2 + s[None, :]**2) / 2.0) \
             * bessel_i(abs(n), eta.eta_x**2 * np.outer(s, s))
-        t_k, t_g = (float(np.real(np.conj(v * w) @ kernel @ (v * w)))
-                    for w in (wk, wg))
-        ref = float((np.abs(v * wk) ** 2 * np.diag(kernel)).sum())
-        if t_k < -1e-10 * max(ref, 1e-300):
+        vw = v * wk
+        t = float(np.real(np.conj(vw) @ kernel @ vw))
+        ref = float((np.abs(vw) ** 2 * np.diag(kernel)).sum())
+        if t < -1e-10 * max(ref, 1e-300):
             raise ArithmeticError(
-                f"pair kernel lost positivity: {t_k} vs scale {ref}")
-        return t_k, t_g
+                f"pair kernel lost positivity: {t} vs scale {ref}")
+        return t
 
     t, _ = refine(estimate, oscillation_count(mode.kappa, z_center, 0.0), cfg)
     if t < 0.0:
@@ -300,7 +299,7 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
                - gammaln(px + 1) - gammaln(py + 1) - gammaln(pz + 1))
         for px, py, pz in combos])
 
-    def estimate(u, wk, wg):
+    def estimate(u, wk):
         s, c = sin_cos_theta(u)
         kx = s[:, None] * np.cos(phik)[None, :]
         ky = s[:, None] * np.sin(phik)[None, :]
@@ -313,7 +312,7 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
             * (2 * np.pi / n_phi)
         b = np.array([(base * kx**px * ky**py * kz**pz).sum(axis=1)
                       for px, py, pz in combos])
-        return (float(gam @ (np.abs(b @ w) ** 2)) for w in (wk, wg))
+        return float(gam @ (np.abs(b @ wk) ** 2))
 
     return refine(estimate, oscillation_count(mode.kappa, z0, np.hypot(x0, y0)),
                   cfg)[0]

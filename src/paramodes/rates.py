@@ -268,7 +268,9 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     trap centers: the rate engine.
 
     Every task shares one grid, sized by the largest |kappa| and |z|, and
-    one refine() that tests each task's row on its own scale.  Per winding
+    one refine() that tests each task's row on its own scale: the K15 sum
+    on a first grid against the one on twice its panels, doubling until
+    the two agree.  Per winding
     n = |m - sigma|, T = sum_r gamma_r |G|^2 over the series rows
     _series_terms keeps at cfg.rel_tol, with
     G[t, r, z] = sum_u A[t, u] rows[u, r] e^{-i z cos theta(u)},
@@ -292,10 +294,9 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     every per-node table there once: under u -> -u, sin theta, the taper
     and the trap Gaussian are even, the kappa and trap phases go to their
     conjugates, the unit spectra are the same table at (sin, -cos) and the
-    series rows flip by (-1)^p.  A block then holds its nodes as [+u Gauss,
-    -u Gauss, +u rest, -u rest], and w_u is the Kronrod weight, so the Gauss
-    estimate rescales the leading nodes by wg / wk and reads no node of
-    Gauss weight zero.
+    series rows flip by (-1)^p.  A block holds its nodes as [+u, -u],
+    each table the concatenation of its two halves, and w_u is the Kronrod
+    weight.
     """
     z_values = np.asarray(z_values, dtype=float)
     if not np.isfinite(z_values).all():
@@ -325,22 +326,12 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     deg = max((max(p.max(), e_r.max()) for p, e_r, *_ in passes), default=0)
 
     def block(z_tile, add, numbered_nodes):
-        # u >= 0 nodes, Gauss first: ng of them
-        b, (u, wk, wg, ng) = numbered_nodes
-
-        def unfold(plus, minus, axis=0):
-            # the block's tables from their u >= 0 and -u halves, in node
-            # order [+u Gauss, -u Gauss, +u rest, -u rest]
-            lead = (slice(None),) * axis
-            gauss, rest = lead + (slice(ng),), lead + (slice(ng, None),)
-            return np.concatenate(
-                (plus[gauss], minus[gauss], plus[rest], minus[rest]), axis)
-
+        b, (u, wk) = numbered_nodes  # u >= 0 nodes
         s, c = sin_cos_theta(u)
         kappa_phase = np.exp(2j * np.multiply.outer(kappas, u))
-        kappa_phase = unfold(kappa_phase, kappa_phase.conj(), axis=1)
+        kappa_phase = np.concatenate((kappa_phase, kappa_phase.conj()), 1)
         # one table per family on every node: at -u, cos theta flips
-        s_all, c_all = unfold(s, s), unfold(c, -c)
+        s_all, c_all = np.concatenate((s, s)), np.concatenate((c, -c))
         unit = {fam: np.conj(unit_spectra(fam, s_all, c_all))
                 for fam in families}
 
@@ -351,9 +342,6 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
 
         base = wk * s**2 * taper_window(u) \
             * np.exp(-(eta.eta_z**2 * c**2 + eta.eta_x**2 * s**2) / 2.0)
-        n_u, n_gauss = 2 * len(u), 2 * ng
-        to_gauss = (wg / wk)[:ng]
-        to_gauss = np.concatenate((to_gauss, to_gauss))
         c_pow = np.vander(c, deg + 1, increasing=True)
         s_pow = np.vander(s, deg + 1, increasing=True)
         # trap phase e^{-i z cos theta} as cos - i sin, built in place; at
@@ -362,61 +350,50 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
         np.multiply.outer(c, z_tile, out=phase.imag)
         np.cos(phase.imag, out=phase.real)
         np.negative(np.sin(phase.imag, out=phase.imag), out=phase.imag)
-        phase = unfold(phase, phase.conj())
+        phase = np.concatenate((phase, phase.conj()))
         g = 0
         for p, e_r, parity, small, large in passes:
             # (node, row) powers c^p s^e_r, C-ordered so M reshapes in
             # place; at -u, c^p flips by (-1)^p
             rows = base[:, None] * np.take(c_pow, p, axis=1) \
                 * np.take(s_pow, e_r, axis=1)
-            rows = unfold(rows, rows * parity)
+            rows = np.concatenate((rows, rows * parity))
             if small:
                 a = np.ascontiguousarray(spectra(small).T)  # [node, task]
                 B = (a[:, :, None] * phase[:, None, :]).view(float) \
-                    .reshape(n_u, -1)
-                part = np.empty((2, rows.shape[1], B.shape[1]))
-                np.matmul(rows.T, B, out=part[0])
-                np.matmul((rows[:n_gauss] * to_gauss[:, None]).T,
-                          B[:n_gauss], out=part[1])
-                add(b, g, part.view(complex))
+                    .reshape(len(rows), -1)
+                add(b, g, (rows.T @ B).view(complex))
                 g += 1
                 del a, B
             if large:
-                M = (rows[:, :, None] * phase[:, None, :]).reshape(n_u, -1)
+                M = (rows[:, :, None] * phase[:, None, :]) \
+                    .reshape(len(rows), -1)
                 for group in large:
                     a = spectra([group])
-                    part = np.empty((2, len(a), M.shape[1]), dtype=complex)
-                    np.matmul(a, M, out=part[0])
-                    np.matmul(a[:, :n_gauss] * to_gauss, M[:n_gauss],
-                              out=part[1])
-                    add(b, g, part)
+                    add(b, g, a @ M)
                     g += 1
                 del M, a  # one winding's M alive at a time
 
-    def estimate(u, wk, wg):
-        u, wk, wg = folded_nodes(u, wk, wg)
-        blocks = []
-        for i in range(0, len(u), _U_BLOCK):
-            nodes = slice(i, i + _U_BLOCK)
-            gauss_first = np.argsort(wg[nodes] == 0, kind="stable")
-            blocks.append((*(x[nodes][gauss_first] for x in (u, wk, wg)),
-                           np.count_nonzero(wg[nodes])))
-        T = np.zeros((2, len(tasks), len(z_values)))
+    def estimate(u, wk):
+        u, wk = folded_nodes(u, wk)
+        blocks = [(u[i:i + _U_BLOCK], wk[i:i + _U_BLOCK])
+                  for i in range(0, len(u), _U_BLOCK)]
+        T = np.zeros((len(tasks), len(z_values)))
         for q in range(0, len(z_values), _Z_BLOCK):
             zt = slice(q, q + _Z_BLOCK)
             n_z = len(z_values[zt])
-            G = _BlockSum([(2, len(gamma), len(idx) * n_z) if rows_first
-                           else (2, len(idx), len(gamma) * n_z)
+            G = _BlockSum([(len(gamma), len(idx) * n_z) if rows_first
+                           else (len(idx), len(gamma) * n_z)
                            for gamma, idx, rows_first in sums])
             # the blocks add every winding's parts to G; list() runs them all
             list(pool_map(partial(block, z_values[zt], G.add),
                           enumerate(blocks)))
             for (gamma, idx, rows_first), g in zip(sums, G.sums):
-                g = g.reshape(2, len(gamma), len(idx), n_z).swapaxes(1, 2) \
-                    if rows_first else g.reshape(2, len(idx), len(gamma), n_z)
-                T[:, idx, zt] = np.einsum("r,wkrz->wkz", gamma, np.abs(g) ** 2,
-                                          optimize=False)
-        return T[0], T[1]
+                g = g.reshape(len(gamma), len(idx), n_z).swapaxes(0, 1) \
+                    if rows_first else g.reshape(len(idx), len(gamma), n_z)
+                T[idx, zt] = np.einsum("r,krz->kz", gamma, np.abs(g) ** 2,
+                                       optimize=False)
+        return T
 
     kmax = float(np.abs(kappas).max())
     zmax = float(np.abs(z_values).max(initial=0.0))

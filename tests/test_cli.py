@@ -284,9 +284,10 @@ def test_oversized_grid_is_named_failure(tmp_path, capsys, monkeypatch,
 
 def test_failed_field_quadrature_exits_1_and_writes_no_file(
         tmp_path, capsys, monkeypatch):
-    # a first grid far too coarse for the phase, and no refinement
+    # a first grid far too coarse for the phase, and no doubling past the
+    # grid that checks it
     monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
-    monkeypatch.setattr(numerics, "MAX_PANELS", numerics.MIN_PANELS)
+    monkeypatch.setattr(numerics, "MAX_PANELS", 2 * numerics.MIN_PANELS)
     payload = {"mode": dict(TINY_MAP["mode"], kappa=-10.4),
                "map": dict(TINY_MAP["map"], z_center=21.0, z_half_span=3.0)}
     cfg = _write(tmp_path, "map.json", payload)

@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from paramodes import fieldeval, numerics, rates
+from paramodes import fieldeval, load_preset, numerics, rates
+from paramodes.cli import RunConfig
 from paramodes.core import ModeParams
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE, WINDOW,
@@ -27,14 +29,20 @@ def test_panel_nodes_integrate_gaussian():
     assert est == pytest.approx(np.sqrt(np.pi), rel=1e-13)
 
 
-def test_embedded_pair_agrees_on_smooth_integrand():
-    u, wk, wg = panel_nodes(16, -12.0, 12.0)
-    vals = 1.0 / np.cosh(u) ** 2
+def test_successive_kronrod_estimates_agree_on_smooth_integrand():
     exact = 2.0 * np.tanh(12.0)
-    # the extended rule carries several more digits than its embedded one
-    assert float(vals @ wk) == pytest.approx(exact, rel=1e-9)
-    assert float(vals @ wg) == pytest.approx(exact, rel=1e-6)
-    assert abs(float(vals @ wk) - float(vals @ wg)) < 1e-6
+    coarse, fine = (float(np.cosh(u) ** -2 @ wk)
+                    for u, wk, _ in (panel_nodes(n, -12.0, 12.0)
+                                     for n in (8, 16)))
+    # doubling the panels gains digits, so the pair's difference is the
+    # coarser estimate's error
+    assert fine == pytest.approx(exact, rel=1e-13)
+    assert coarse == pytest.approx(exact, rel=1e-10)
+    assert abs(fine - exact) < 1e-2 * abs(coarse - exact)
+    assert abs(fine - coarse) == pytest.approx(abs(coarse - exact), rel=1e-2)
+    # the third value is the panel edges
+    edges = panel_nodes(16, -12.0, 12.0)[2]
+    assert np.array_equal(edges, np.linspace(-12.0, 12.0, 17))
 
 
 def test_oscillatory_closed_form():
@@ -66,63 +74,82 @@ def test_adaptive_refinement_reaches_tolerance(monkeypatch):
 
 
 def test_quadrature_failure_raises_with_residual(monkeypatch):
+    # the first pair, 3 and 6 panels, is the last grid below the cap
     monkeypatch.setattr(numerics, "MIN_PANELS", 3)
-    monkeypatch.setattr(numerics, "MAX_PANELS", numerics.MIN_PANELS)
+    monkeypatch.setattr(numerics, "MAX_PANELS", 2 * numerics.MIN_PANELS)
+    estimates = []
 
     def values(u):
-        return np.cos(200.0 * u)
-    with pytest.raises(QuadratureError, match="after 0 refinements") as err:
+        vals = np.cos(200.0 * u)
+        estimates.append(lambda wk: float(vals @ wk))
+        return vals
+    with pytest.raises(QuadratureError, match="after 0 refinements; "
+                       "12 panels would pass") as err:
         integrate_adaptive(values, 1.0)
-    assert err.value.residual > 0.0
+    # the residual is the pair's difference, a number
+    coarse, fine = (est(wk) for est, (_, wk) in zip(
+        estimates, (window_nodes(3), window_nodes(6))))
+    assert len(estimates) == 2
+    assert err.value.residual == abs(fine - coarse) > 0.0
 
 
 def test_oversized_first_grid_raises_before_any_node(monkeypatch):
     def unreachable(*args):
         raise AssertionError("nodes or estimate built for an oversized grid")
     monkeypatch.setattr(numerics, "window_nodes", unreachable)
-    nosc = (MAX_PANELS + 1) / PANELS_PER_OSCILLATION
-    with pytest.raises(ValueError, match=f"{nosc:.4g} phase oscillations.*"
-                       f"{MAX_PANELS + 1} panels.*MAX_PANELS = {MAX_PANELS}"):
+    # the first grid fits under the cap, but the grid that checks it,
+    # twice as many panels, does not
+    n_first = MAX_PANELS // 2 + 1
+    nosc = n_first / PANELS_PER_OSCILLATION
+    with pytest.raises(ValueError, match=re.escape(f"{nosc:.4g} phase ")
+                       + f"oscillations.*first grid of {n_first} panels, "
+                       f"checked on {2 * n_first}.*MAX_PANELS = {MAX_PANELS}"):
         refine(unreachable, nosc)
+    # a pair that fits builds its nodes
+    with pytest.raises(AssertionError, match="nodes or estimate built"):
+        refine(unreachable, (MAX_PANELS // 2) / PANELS_PER_OSCILLATION)
 
 
 def test_doubling_past_the_panel_cap_raises(monkeypatch):
     # MAX_PANELS is the only bound: an estimate that never converges
-    # doubles from MIN_PANELS = 24 up to 12,288 panels before it raises
+    # doubles from MIN_PANELS = 12, checked on 24, up to 12,288 panels
+    # before it raises, with the last pair's difference as its residual
     grids = []
 
-    def never(u, wk, wg):
+    def never(u, wk):
         grids.append(len(u) // 15)
-        return 1.0, 0.0
+        return float(len(grids) % 2)
     with pytest.raises(QuadratureError, match="after 9 refinements; "
-                       "24576 panels would pass MAX_PANELS = 16384"):
+                       "24576 panels would pass MAX_PANELS = 16384") as err:
         refine(never, 0.0)
-    assert grids == [24 * 2**k for k in range(10)]
+    assert grids == [12 * 2**k for k in range(11)]
+    assert err.value.residual == 1.0
 
-    monkeypatch.setattr(numerics, "MAX_PANELS", 2 * MIN_PANELS)
+    monkeypatch.setattr(numerics, "MAX_PANELS", 4 * MIN_PANELS)
     grids.clear()
 
     def values(u):
         grids.append(len(u) // 15)
         return np.cos(200.0 * u)
     with pytest.raises(QuadratureError, match="after 1 refinements; "
-                       f"{4 * MIN_PANELS} panels would pass") as err:
+                       f"{8 * MIN_PANELS} panels would pass") as err:
         integrate_adaptive(values, 1.0)
     assert err.value.residual > 0.0
-    assert grids == [MIN_PANELS, 2 * MIN_PANELS]
+    assert grids == [MIN_PANELS, 2 * MIN_PANELS, 4 * MIN_PANELS]
 
 
 def test_window_nodes_put_edges_on_taper_knees():
     for n_panels in (24, 92, 97, 100, 301):
-        u, wk, wg = window_nodes(n_panels)
-        assert len(u) == len(wk) == len(wg) == 15 * n_panels
+        u, wk = window_nodes(n_panels)
+        assert len(u) == len(wk) == 15 * n_panels
         assert float(wk.sum()) == pytest.approx(2 * WINDOW, rel=1e-14)
         panels = u.reshape(n_panels, 15)
         for edge in (-KNEE, KNEE):
             assert np.all((panels.max(axis=1) < edge)
                           | (panels.min(axis=1) > edge))
     # a multiple of ten panels is the uniform grid
-    for got, want in zip(window_nodes(100), panel_nodes(100, -WINDOW, WINDOW)):
+    for got, want in zip(window_nodes(100),
+                         panel_nodes(100, -WINDOW, WINDOW)[:2]):
         assert np.allclose(got, want, rtol=0.0, atol=1e-13)
 
 
@@ -136,8 +163,8 @@ def test_graded_window_nodes_put_edges_on_taper_knees():
     for kappa, z in ((0.0, 3.0), (0.0, 160.0), (5.6, -40.0), (21.0, 140.0)):
         n_first, nosc = _first_grid(kappa, z)
         for n_panels in (n_first, 2 * n_first, 97):
-            u, wk, wg = window_nodes(n_panels, z, nosc)
-            assert len(u) == len(wk) == len(wg) == 15 * n_panels
+            u, wk = window_nodes(n_panels, z, nosc)
+            assert len(u) == len(wk) == 15 * n_panels
             assert abs(float(wk.sum()) - 2 * WINDOW) <= 1e-14 * WINDOW
             panels = u.reshape(n_panels, 15)
             assert np.all(np.diff(u) > 0.0)
@@ -159,7 +186,7 @@ def test_window_nodes_at_zero_z_are_the_knee_aligned_rule():
         n_taper = round(n_panels * (W - knee) / (2 * W))
         n_mid = n_panels - 2 * n_taper
         for nosc in (0.0, 40.0):
-            u, wk, _ = window_nodes(n_panels, 0.0, nosc)
+            u, wk = window_nodes(n_panels, 0.0, nosc)
             # a panel's middle node is its midpoint, its Kronrod weights
             # sum to its width
             mid = u.reshape(n_panels, 15)[:, 7]
@@ -192,10 +219,9 @@ def test_window_nodes_are_exactly_mirror_symmetric():
     for n_panels in (3, 24, 25, 97, 100, 1284):
         for z, nosc in ((0.0, 0.0), (0.0, 40.0), (160.0, 60.0),
                         (-11.2, 30.0)):
-            u, wk, wg = window_nodes(n_panels, z, nosc)
+            u, wk = window_nodes(n_panels, z, nosc)
             assert np.array_equal(u, -u[::-1])
             assert np.array_equal(wk, wk[::-1])
-            assert np.array_equal(wg, wg[::-1])
             # an odd panel count centers a panel, and its middle node, on 0
             assert (u[len(u) // 2] == 0.0) == (n_panels % 2 == 1)
 
@@ -204,30 +230,91 @@ def test_folded_nodes_sum_like_the_full_grid():
     def f(u):
         return np.exp(-u**2 / 8) * (2.0 + np.sin(3.0 * u))
     for n_panels in (25, 24):
-        u, wk, wg = window_nodes(n_panels, 7.0, 20.0)
-        full = [x.copy() for x in (u, wk, wg)]
-        h, hk, hg = folded_nodes(u, wk, wg)
+        u, wk = window_nodes(n_panels, 7.0, 20.0)
+        full = [x.copy() for x in (u, wk)]
+        h, hk = folded_nodes(u, wk)
         assert len(h) == (len(u) + 1) // 2 and np.all(h >= 0.0)
         assert (h[0] == 0.0) == (n_panels % 2 == 1)
-        for w, w_half in ((wk, hk), (wg, hg)):
-            assert float((f(h) + f(-h)) @ w_half) \
-                == pytest.approx(float(f(u) @ w), rel=1e-14)
+        assert float((f(h) + f(-h)) @ hk) \
+            == pytest.approx(float(f(u) @ wk), rel=1e-14)
         # the full grid is left as it was
-        for got, want in zip((u, wk, wg), full):
+        for got, want in zip((u, wk), full):
             assert np.array_equal(got, want)
 
 
 def test_graded_first_grid_resolves_the_trap_phase():
-    # Int sech^2(u) e^{i z tanh u} du over |u| <= W = 2 sin(z tanh W) / z
+    # Int sech^2(u) e^{i z tanh u} du over |u| <= W = 2 sin(z tanh W) / z,
+    # on the grid that checks the first one
     z = 160.0
     want = 2.0 * np.sin(z * np.tanh(WINDOW)) / z
-    n_panels, nosc = _first_grid(0.0, z)
+    n_first, nosc = _first_grid(0.0, z)
+    n_panels = 2 * n_first
 
-    def error(u, wk, wg):
+    def error(u, wk):
         return abs(complex(np.cosh(u) ** -2 * np.exp(1j * z * np.tanh(u)) @ wk)
                    - want)
     assert error(*window_nodes(n_panels, z, nosc)) <= 1e-12
     assert error(*window_nodes(n_panels)) > 1e-6
+
+
+def test_accepted_grids_match_a_grid_four_times_finer(monkeypatch):
+    # the successive-Kronrod rule's outputs against the same engines on a
+    # grid four times finer than the one refine() accepted
+    def with_reference(engine, call):
+        grids = []
+
+        def recording(estimate, n_oscillations, cfg, z=0.0):
+            def counted(u, wk):
+                grids.append(len(u) // 15)
+                return estimate(u, wk)
+            return refine(counted, n_oscillations, cfg, z)
+
+        def finer(estimate, n_oscillations, cfg, z=0.0):
+            grid = window_nodes(4 * grids[-1], z, n_oscillations)
+            return estimate(*grid), 0.0
+
+        monkeypatch.setattr(engine, "refine", recording)
+        got = call()
+        monkeypatch.setattr(engine, "refine", finer)
+        ref = call()
+        monkeypatch.undo()
+        return np.asarray(got), np.asarray(ref)
+
+    cases = []
+    # fig1b at full size: the map, one row of the isosurface, the axis scan
+    fig = RunConfig.from_dict(load_preset("fig1b"))
+    mode, mp = fig.mode, fig.map_spec
+    rho = np.linspace(0.0, mp["rho_max"], mp["n_rho"])
+    zs = np.linspace(mp["z_center"] - mp["z_half_span"],
+                     mp["z_center"] + mp["z_half_span"], mp["n_z"])
+    xy = np.linspace(-mp["rho_max"], mp["rho_max"], mp["n_iso"])
+    cases += [
+        ("fig1b map", fieldeval,
+         lambda: fieldeval.intensity_map(mode, mp["component"], rho, zs)[0]),
+        ("fig1b isosurface row", fieldeval,
+         lambda: fieldeval.isointensity_grid(mode, 0.5, xy, [0.0],
+                                             zs[::5])[0]),
+        ("fig1b axis scan", fieldeval,
+         lambda: fieldeval.axis_intensity_scan(mode, zs))]
+    # E m=0 at ybII's largest |kappa|, whose phase sizes the grid, at the
+    # focus and the scan's ends, and likewise a ybII-perp B |m|=1 task.
+    # Their T is below 1e-20, so each rides with the family's focal mode,
+    # whose T is the scale
+    for preset, family, m, sigma, zs_task in (
+            ("ybII", "E", 0, 0, (0.0, -40.0, 40.0)),
+            ("ybII-perp", "B", 1, 1, (0.0, -40.0))):
+        cfg = RunConfig.from_dict(load_preset(preset))
+        modes = sorted((md for md in rates.build_catalog(
+            cfg.catalog_rule, cfg.ion.omega).modes
+            if (md.family, md.m) == (family, m)), key=lambda md: abs(md.kappa))
+        tasks = [(modes[0], sigma), (modes[-1], sigma)]
+        for z in zs_task:
+            cases.append((f"{preset} {family} m={m} z={z}", rates,
+                          lambda tasks=tasks, cfg=cfg, z=z: rates._catalog_T(
+                              tasks, cfg.eta, [z], DEFAULT_QUADRATURE)))
+    for name, engine, call in cases:
+        got, ref = with_reference(engine, call)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref)), name
 
 
 def test_taper_window_shape():
@@ -402,10 +489,11 @@ def test_quadrature_config_validation():
         replace(DEFAULT_QUADRATURE, rel_tol=2e-2)
     cfg = replace(DEFAULT_QUADRATURE, rel_tol=1e-6)
     assert cfg.rel_tol == 1e-6
-    # below 1e-12 the K15/G7 residual cannot converge
+    # below 1e-12 the successive-Kronrod residual cannot converge
     with pytest.raises(ValueError, match=r"rel_tol must lie in \[1e-12, 1e-2\]"):
         QuadratureConfig(rel_tol=1e-13)
     assert QuadratureConfig(rel_tol=1e-12).rel_tol == 1e-12
     # the tolerance is the one setting; panel counts are module constants
     assert [f.name for f in fields(QuadratureConfig)] == ["rel_tol"]
-    assert (PANELS_PER_OSCILLATION, MIN_PANELS, MAX_PANELS) == (2.0, 24, 16_384)
+    assert (PANELS_PER_OSCILLATION, MIN_PANELS, MAX_PANELS) \
+        == (0.5, 12, 16_384)

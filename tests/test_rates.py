@@ -144,10 +144,11 @@ def test_engine_paths_agree_for_general_coefficients(ybii_eta):
 
 def test_rate_paths_raise_when_refinement_is_exhausted(ybii_eta,
                                                       monkeypatch):
-    # a graded first grid at the default density converges by design, so
-    # the failure needs a first grid far too coarse for the phase
+    # a graded first pair at the default density converges by design, so
+    # the failure needs a first grid far too coarse for the phase, and no
+    # doubling past its check grid
     monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
-    monkeypatch.setattr(numerics, "MAX_PANELS", numerics.MIN_PANELS)
+    monkeypatch.setattr(numerics, "MAX_PANELS", 2 * numerics.MIN_PANELS)
     mode = ModeParams(omega=1.0, m=0, kappa=5.6, family="E")
     eta_xyz = (ybii_eta.eta_x, ybii_eta.eta_x, ybii_eta.eta_z)
     for path in (
@@ -349,7 +350,8 @@ def test_total_rate_single_z_accuracy(ybii_eta, dipole_transverse,
     for z in (-40.0, -11.2, 0.0, 3.7, 140.0):
         got = total_rate(cat, dipole_transverse, ybii_eta, z)
         with monkeypatch.context() as m:
-            # no fewer panels than 40 per oscillation, 20 times the default
+            # a first grid of 40 panels per oscillation, 40 times the
+            # default's accepted grid
             m.setattr(numerics, "MIN_PANELS", int(
                 np.ceil(40.0 * oscillation_count(kmax, z, 0.0))))
             ref = total_rate(cat, dipole_transverse, ybii_eta, z, converged)
@@ -391,26 +393,26 @@ def test_block_sum_adds_in_block_order_from_any_thread():
         assert np.array_equal(total.sums[g], want[g])
 
 
-def test_calibrate_converges_on_first_grid(ybii_eta, dipole_transverse,
+def test_calibrate_converges_on_first_pair(ybii_eta, dipole_transverse,
                                           monkeypatch):
     # one refine per calibrate call covers every (mode, sigma) task, and
     # panels graded by the trap phase resolve the calibration window's
-    # |z| <= 160 on its first grid
+    # |z| <= 160 on its first pair of grids
     calls = []
     refine = rates.refine
 
     def counting_refine(estimate, *args):
         calls.append(0)
 
-        def counted(u, wk, wg):
+        def counted(u, wk):
             calls[-1] += 1
-            return estimate(u, wk, wg)
+            return estimate(u, wk)
         return refine(counted, *args)
 
     monkeypatch.setattr(rates, "refine", counting_refine)
     calibrate(build_catalog(MIXED_RULE, omega=1.0), dipole_transverse,
               ybii_eta)
-    assert calls == [1]
+    assert calls == [2]
 
 
 def _assert_scan_rows_match_single_tasks(modes, eta, zs):
@@ -498,10 +500,10 @@ def test_rate_engine_maps_once_per_z_tile(ybii_eta, monkeypatch):
     refine = rates.refine
 
     def counting_refine(estimate, *args):
-        def counted(u, wk, wg):
-            half = folded_nodes(u, wk, wg)[0]
+        def counted(u, wk):
+            half = folded_nodes(u, wk)[0]
             estimates.append(len(range(0, len(half), rates._U_BLOCK)))
-            return estimate(u, wk, wg)
+            return estimate(u, wk)
         return refine(counted, *args)
 
     def recording_map(fn, blocks):
@@ -573,8 +575,8 @@ def test_contraction_orders_agree_in_one_catalog(ybii_eta, dipole_axial,
     refine = rates.refine
 
     def capturing_refine(estimate, *args):
-        def captured_estimate(u, wk, wg):
-            captured.append(((u, wk, wg), estimate(u, wk, wg)))
+        def captured_estimate(u, wk):
+            captured.append(((u, wk), estimate(u, wk)))
             return captured[-1][1]
         return refine(captured_estimate, *args)
 
@@ -583,8 +585,8 @@ def test_contraction_orders_agree_in_one_catalog(ybii_eta, dipole_axial,
     monkeypatch.setattr(rates, "oscillation_count", lambda *args: n_osc)
     monkeypatch.setattr(rates, "refine", capturing_refine)
     T = rates._catalog_T(tasks, ybii_eta, zs, DEFAULT_QUADRATURE)
-    assert len(captured) == 1
-    (u, wk, wg), (est_k, est_g) = captured[0]
+    assert len(captured) == 2
+    (u, wk), coarse = captured[0]
     for idx in groups.values():
         for t in idx:
             single = rates._catalog_T([tasks[t]], ybii_eta, zs,
@@ -592,20 +594,21 @@ def test_contraction_orders_agree_in_one_catalog(ybii_eta, dipole_axial,
             assert np.max(np.abs(T[t] - single)) <= 1e-12 * T[idx].max()
     monkeypatch.undo()
 
-    # the G7 sum of each path's first task, written out on the same nodes
+    # the first grid's sum of each path's first task, written out on the
+    # same nodes
     s, c = np.cosh(u) ** -1, -np.tanh(u)
     base = s**2 * numerics.taper_window(u) \
         * np.exp(-(ybii_eta.eta_z**2 * c**2 + ybii_eta.eta_x**2 * s**2) / 2)
     for t in (0, 20):
         mode, sigma = tasks[t]
         a = np.conj(spectrum.u_spectrum(mode, u)[SIGMAS.index(sigma)])
-        gauss = 0.0
+        want = 0.0
         for p, e_r, gamma in _series_terms(abs(mode.m - sigma), ybii_eta.eta_x,
                                            ybii_eta.eta_z,
                                            DEFAULT_QUADRATURE.rel_tol):
-            g = (wg * a * base * c**p * s**e_r) @ np.exp(-1j * np.outer(c, zs))
-            gauss = gauss + gamma * np.abs(g) ** 2
-        assert np.max(np.abs(est_g[t] - gauss)) <= 1e-12 * gauss.max()
+            g = (wk * a * base * c**p * s**e_r) @ np.exp(-1j * np.outer(c, zs))
+            want = want + gamma * np.abs(g) ** 2
+        assert np.max(np.abs(coarse[t] - want)) <= 1e-12 * want.max()
 
     # the dense oracle on a few tasks of each group
     for idx in groups.values():
@@ -634,22 +637,21 @@ def test_folded_rate_engine_matches_the_full_grid_sum(n_panels, ybii_eta,
 
     def one_grid(estimate, *args):
         estimates.append(estimate(*grid))
-        return estimates[-1][0], 0.0
+        return estimates[-1], 0.0
     monkeypatch.setattr(rates, "refine", one_grid)
     zs = [-6.0, 0.0, 2.5]
     rates._catalog_T(tasks, ybii_eta, zs, DEFAULT_QUADRATURE)
-    u, wk, wg = grid
+    u, wk = grid
     s, c = np.cosh(u) ** -1, -np.tanh(u)
     base = s**2 * numerics.taper_window(u) \
         * np.exp(-(ybii_eta.eta_z**2 * c**2 + ybii_eta.eta_x**2 * s**2) / 2)
     phase = np.exp(-1j * np.outer(c, zs))
     for t, (mode, sigma) in enumerate(tasks):
         a = np.conj(spectrum.u_spectrum(mode, u)[SIGMAS.index(sigma)])
-        for got, w in zip(estimates[0], (wk, wg)):
-            want = 0.0
-            for p, e_r, gamma in _series_terms(
-                    abs(mode.m - sigma), ybii_eta.eta_x, ybii_eta.eta_z,
-                    DEFAULT_QUADRATURE.rel_tol):
-                want = want + gamma * np.abs(
-                    (w * a * base * c**p * s**e_r) @ phase) ** 2
-            assert np.max(np.abs(got[t] - want)) <= 1e-13 * want.max()
+        want = 0.0
+        for p, e_r, gamma in _series_terms(
+                abs(mode.m - sigma), ybii_eta.eta_x, ybii_eta.eta_z,
+                DEFAULT_QUADRATURE.rel_tol):
+            want = want + gamma * np.abs(
+                (wk * a * base * c**p * s**e_r) @ phase) ** 2
+        assert np.max(np.abs(estimates[0][t] - want)) <= 1e-13 * want.max()

@@ -53,8 +53,8 @@ PANELS_PER_OSCILLATION = 0.5
 MIN_PANELS = 12
 # the most panels of any grid, and the only bound on refine()'s doublings:
 # 245,760 nodes keep the field kernel's tile buffers, about 3.5 KB a node,
-# under 1 GB.  The bundled presets, the benchmark and the test suite reach
-# at most 3,500 panels.
+# under 1 GB.  The bundled presets and the benchmark reach at most 694
+# panels, the test suite 7,000 outside its tests of the cap.
 MAX_PANELS = 16_384
 
 # 15-point Kronrod abscissae (positive half) and weights; standard QUADPACK
@@ -113,6 +113,7 @@ def panel_nodes(n_panels, a, b):
     return (*_k15_nodes(edges), edges)
 
 
+# abscissae of window_nodes' interpolation table of its grading G
 _G_TABLE = np.linspace(0.0, WINDOW, 33)
 
 
@@ -155,8 +156,7 @@ def window_nodes(n_panels, z=0.0, n_oscillations=0.0):
     # steps, which reach round-off for any ratio of beta to alpha
     t = np.concatenate((
         G_knee * np.arange(2 - n_mid % 2, n_mid, 2) / n_mid,
-        # np.linspace(G_knee, G_W, n_taper + 1)[1:-1], bit for bit
-        np.arange(1, n_taper) * ((G_W - G_knee) / n_taper) + G_knee))
+        np.linspace(G_knee, G_W, n_taper + 1)[1:-1]))
     u = np.interp(t, G(_G_TABLE), _G_TABLE)
     for _ in range(4):
         u -= (G(u) - t) / (alpha + beta / np.cosh(u) ** 2)

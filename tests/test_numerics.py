@@ -280,7 +280,6 @@ def test_accepted_grids_match_a_grid_four_times_finer(monkeypatch):
         monkeypatch.undo()
         return np.asarray(got), np.asarray(ref)
 
-    cases = []
     # fig1b at full size: the map, one row of the isosurface, the axis scan
     fig = RunConfig.from_dict(load_preset("fig1b"))
     mode, mp = fig.mode, fig.map_spec
@@ -288,7 +287,7 @@ def test_accepted_grids_match_a_grid_four_times_finer(monkeypatch):
     zs = np.linspace(mp["z_center"] - mp["z_half_span"],
                      mp["z_center"] + mp["z_half_span"], mp["n_z"])
     xy = np.linspace(-mp["rho_max"], mp["rho_max"], mp["n_iso"])
-    cases += [
+    cases = [
         ("fig1b map", fieldeval,
          lambda: fieldeval.intensity_map(mode, mp["component"], rho, zs)[0]),
         ("fig1b isosurface row", fieldeval,

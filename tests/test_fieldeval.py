@@ -289,7 +289,7 @@ def test_field_kernel_grades_by_its_largest_z(monkeypatch):
     field_at_point(mode, (0.5, 0.0, -2.0))
     assert [z for z, _ in requests] == [7.5, 2.0]
     # every fig1 preset map converges on its first pair of graded grids;
-    # fig1b's on the 12 and 24 panels of the fewest
+    # fig1b's on 12 and 24 panels, the fewest the rule allows
     for name in ("fig1a", "fig1b", "fig1c", "fig1d", "fig1e", "fig1f"):
         raw = load_preset(name)
         mode, mp = ModeParams(omega=1.0, **raw["mode"]), raw["map"]

@@ -14,11 +14,12 @@ import numpy as np
 
 from .core import (
     IonSpec, DipoleSpec, ModeParams, ATOMIC_MASS, DEFAULT_COEFFS,
-    E_MODE, B_MODE,
+    E_MODE, B_MODE, section, entry, number, vector,
 )
 from .trap import LambDicke
 from .rates import (
-    build_catalog, calibrate, rate_scan, total_rate, mode_table, series_rows,
+    MAX_GRID, ModeCatalog, build_catalog, calibrate, rate_scan, total_rate,
+    mode_table, series_rows, z_grid,
 )
 from .fieldeval import intensity_map, isointensity_grid
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError
@@ -28,72 +29,10 @@ from .io import write_csv, write_json, write_npz, config_hash
 log = logging.getLogger("paramodes")
 
 _KHZ = 2.0 * np.pi * 1e3  # secular frequencies are quoted in kHz
-_MAX_GRID = 100_000       # bounds z and map grids before they are allocated
 
 
 class UsageError(Exception):
     """Command-line usage error, such as an unknown preset name (exit 2)."""
-
-
-def _number(value, what, kind=float):
-    """kind(value) of one configuration entry, a finite number (not a bool,
-    nor a string unless kind is complex, as in "1+2j") and integral for
-    kind int; a named ValueError otherwise."""
-    try:
-        out = complex(value) if kind is complex else float(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or isinstance(value, bool) or not np.isfinite(out) \
-            or (isinstance(value, str) and kind is not complex):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
-    if kind is int and not out.is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return kind(out)
-
-
-def _vector(value, what, length=None, kind=float):
-    """Tuple of _number entries from a configuration list."""
-    if not isinstance(value, (list, tuple)) \
-            or (length is not None and len(value) != length):
-        raise ValueError(f"{what} must be a list of "
-                         f"{length or 'some'} numbers, got {value!r}")
-    return tuple(_number(x, what, kind) for x in value)
-
-
-def _section(raw, name):
-    """Section named by the last part of the dotted `name`; None when absent."""
-    section = raw.get(name.rpartition(".")[2])
-    if section is not None and not isinstance(section, dict):
-        raise ValueError(f"{name} section must be a JSON object")
-    return section
-
-
-def _field(section, name, key, kind=float, default=None):
-    """One numeric entry of a section; missing or malformed ones are named."""
-    if key not in section:
-        if default is None:
-            raise ValueError(f"{name} section is missing {key!r}")
-        return default
-    return _number(section[key], f"{name}.{key}", kind)
-
-
-def _check_catalog(rule):
-    """Type-check a catalog rule; rates.build_catalog interprets it."""
-    labels = rule.get("families")
-    if not isinstance(labels, list) \
-            or not all(isinstance(lab, str) for lab in labels):
-        raise ValueError("catalog.families must be a list of family labels")
-    kappa = _section(rule, "catalog.kappa") or {}
-    if "values" in kappa:
-        _vector(kappa["values"], "catalog.kappa.values")
-    elif kappa:
-        _field(kappa, "catalog.kappa", "start", default=0.0)
-        for key in ("step_inner", "transition", "step_outer", "max"):
-            _field(kappa, "catalog.kappa", key)
-    weight = _section(rule, "catalog.weight") or {}
-    _field(weight, "catalog.weight", "amplitude", default=0.0)
-    _field(weight, "catalog.weight", "width", default=1.0)
-    _vector(rule.get("coeffs", ()), "catalog.coeffs", kind=complex)
 
 
 @dataclass
@@ -105,6 +44,7 @@ class RunConfig:
     dipole: DipoleSpec = None
     eta: LambDicke = None
     catalog_rule: dict = None
+    catalog: ModeCatalog = None  # built from catalog_rule at the ion's omega
     window: tuple = None
     scan_grid: np.ndarray = None
     mode: ModeParams = None
@@ -115,23 +55,23 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ValueError("configuration must be a JSON object")
         cfg = cls(raw=raw)
-        ion = _section(raw, "ion")
+        ion = section(raw, "ion")
         if ion is not None:
             cfg.ion = IonSpec(
                 name=str(ion.get("name", "ion")),
-                mass=_field(ion, "ion", "mass_amu") * ATOMIC_MASS,
-                transition_wavelength=_field(ion, "ion", "wavelength_nm") * 1e-9,
+                mass=entry(ion, "ion", "mass_amu") * ATOMIC_MASS,
+                transition_wavelength=entry(ion, "ion", "wavelength_nm") * 1e-9,
             )
         if "dipole" in raw:
             cfg.dipole = DipoleSpec(
-                _vector(raw["dipole"], "dipole", 3, complex))
-        trap = _section(raw, "trap")
+                vector(raw["dipole"], "dipole", 3, complex))
+        trap = section(raw, "trap")
         if trap is not None:
             if cfg.ion is None:
                 raise ValueError("trap section requires an ion section")
-            radial = _field(trap, "trap", "radial_khz") * _KHZ
-            axial = _field(trap, "trap", "axial_khz") * _KHZ
-            center = _vector(trap.get("center", (0, 0, 0)), "trap.center", 3)
+            radial = entry(trap, "trap", "radial_khz") * _KHZ
+            axial = entry(trap, "trap", "axial_khz") * _KHZ
+            center = vector(trap.get("center", (0, 0, 0)), "trap.center", 3)
             if any(center):
                 raise ValueError(
                     "trap.center must be [0, 0, 0]: no engine reads an "
@@ -139,56 +79,51 @@ class RunConfig:
                     "through the 'scan' section or --z")
             cfg.eta = LambDicke.from_trap(cfg.ion.omega, cfg.ion.mass,
                                           radial, axial)
-        cfg.catalog_rule = _section(raw, "catalog")
+        cfg.catalog_rule = section(raw, "catalog")
         if cfg.catalog_rule is not None:
-            _check_catalog(cfg.catalog_rule)
+            if cfg.ion is None:
+                raise ValueError("catalog section requires an ion section")
+            cfg.catalog = build_catalog(cfg.catalog_rule, cfg.ion.omega)
         if "calibration_window" in raw:
-            win = _vector(raw["calibration_window"], "calibration_window", 3)
-            if win[1] <= win[0] or win[2] <= 0:
-                raise ValueError("calibration_window must be (start, stop, step)")
-            if (win[1] - win[0]) / win[2] > _MAX_GRID:
-                raise ValueError(f"calibration_window exceeds {_MAX_GRID} points")
-            cfg.window = win
-        scan = _section(raw, "scan")
+            cfg.window = vector(raw["calibration_window"],
+                                "calibration_window", 3)
+            z_grid(cfg.window, "calibration window (start, stop, step)")
+        scan = section(raw, "scan")
         if scan is not None:
-            lo, hi, step = (_field(scan, "scan", k)
-                            for k in ("z_min", "z_max", "z_step"))
-            if hi <= lo or step <= 0:
-                raise ValueError("scan grid must have z_min < z_max, z_step > 0")
-            if (hi - lo) / step > _MAX_GRID:
-                raise ValueError(f"scan grid exceeds {_MAX_GRID} points")
-            cfg.scan_grid = np.arange(lo, hi + step / 2, step)
-        mode = _section(raw, "mode")
+            cfg.scan_grid = z_grid(
+                [entry(scan, "scan", k) for k in ("z_min", "z_max", "z_step")],
+                "scan (z_min, z_max, z_step)")
+        mode = section(raw, "mode")
         if mode is not None:
             fam = mode.get("family")
             if fam not in (E_MODE, B_MODE):
                 raise ValueError(f"unknown mode family {fam!r}")
             omega = cfg.ion.omega if cfg.ion is not None else 1.0
             cfg.mode = ModeParams(
-                omega=omega, m=_field(mode, "mode", "m", int),
-                kappa=_field(mode, "mode", "kappa"), family=fam,
-                coeffs=_vector(mode.get("coeffs", DEFAULT_COEFFS),
-                               "mode.coeffs", 3, complex))
-        mp = _section(raw, "map")
+                omega=omega, m=entry(mode, "mode", "m", int),
+                kappa=entry(mode, "mode", "kappa"), family=fam,
+                coeffs=vector(mode.get("coeffs", DEFAULT_COEFFS),
+                              "mode.coeffs", 3, complex))
+        mp = section(raw, "map")
         if mp is not None:
             spec = {
                 "component": str(mp.get("component", "z")),
-                "rho_max": _field(mp, "map", "rho_max", default=8.0),
-                "n_rho": _field(mp, "map", "n_rho", int, 81),
-                "z_center": _field(mp, "map", "z_center"),
-                "z_half_span": _field(mp, "map", "z_half_span", default=12.0),
-                "n_z": _field(mp, "map", "n_z", int, 121),
-                "n_iso": _field(mp, "map", "n_iso", int, 25),
+                "rho_max": entry(mp, "map", "rho_max", default=8.0),
+                "n_rho": entry(mp, "map", "n_rho", int, 81),
+                "z_center": entry(mp, "map", "z_center"),
+                "z_half_span": entry(mp, "map", "z_half_span", default=12.0),
+                "n_z": entry(mp, "map", "n_z", int, 121),
+                "n_iso": entry(mp, "map", "n_iso", int, 25),
             }
             if spec["component"] not in ("z", "+", "-", "total"):
                 raise ValueError("map component must be 'z', '+', '-' or 'total'")
             if min(spec["n_rho"], spec["n_z"], spec["n_iso"]) < 2 \
                     or spec["rho_max"] <= 0 or spec["z_half_span"] <= 0:
                 raise ValueError("map grid must have positive extent and >= 2 points")
-            if spec["n_z"] * spec["n_rho"] > _MAX_GRID:
-                raise ValueError(f"map grid n_z * n_rho exceeds {_MAX_GRID} points")
-            if spec["n_iso"] ** 3 > _MAX_GRID:
-                raise ValueError(f"map grid n_iso^3 exceeds {_MAX_GRID} points")
+            if spec["n_z"] * spec["n_rho"] > MAX_GRID:
+                raise ValueError(f"map grid n_z * n_rho exceeds {MAX_GRID} points")
+            if spec["n_iso"] ** 3 > MAX_GRID:
+                raise ValueError(f"map grid n_iso^3 exceeds {MAX_GRID} points")
             cfg.map_spec = spec
         return cfg
 
@@ -234,23 +169,22 @@ def _quadrature(args):
     return QuadratureConfig(rel_tol=args.tolerance)
 
 
-def _catalog(cfg, quad):
-    """The configured catalog, logged, with its rate-series terms when the
+def _log_catalog(cfg, quad):
+    """Log the configured catalog, and its rate-series terms when the
     configuration has a dipole and a trap."""
-    catalog = build_catalog(cfg.catalog_rule, cfg.ion.omega)
-    log.info("catalog: %d modes over %s", len(catalog.modes),
-             ", ".join(catalog.family_labels))
+    log.info("catalog: %d modes over %s", len(cfg.catalog.modes),
+             ", ".join(cfg.catalog.family_labels))
     if cfg.dipole is not None and cfg.eta is not None:
         # a trap too soft for the rate series fails here, before calibrating
         log.info("rate series terms per winding |m - sigma|: %s",
-                 series_rows(catalog, cfg.dipole, cfg.eta, quad))
-    return catalog
+                 series_rows(cfg.catalog, cfg.dipole, cfg.eta, quad))
 
 
 def _calibrated_catalog(cfg, args, quad):
-    cfg.require("ion", "dipole", "eta", "catalog_rule", "window")
-    catalog = calibrate(_catalog(cfg, quad), cfg.dipole, cfg.eta, cfg.window,
-                        quad, threads=args.threads)
+    cfg.require("dipole", "eta", "catalog", "window")
+    _log_catalog(cfg, quad)
+    catalog = calibrate(cfg.catalog, cfg.dipole, cfg.eta, cfg.window, quad,
+                        threads=args.threads)
     log.info("calibration constant C = %.9g (window %s)",
              catalog.calibration, cfg.window)
     return catalog
@@ -295,7 +229,7 @@ def cmd_rate_scan(args):
 
 
 def cmd_mode_table(args):
-    _number(args.z, "--z")  # before calibrating, which a bad z would waste
+    number(args.z, "--z")  # before calibrating, which a bad z would waste
     cfg = _load_config(args)
     quad = _quadrature(args)
     catalog = _calibrated_catalog(cfg, args, quad)
@@ -312,7 +246,7 @@ def cmd_mode_table(args):
 
 
 def cmd_perp_decomposition(args):
-    _number(args.z, "--z")
+    number(args.z, "--z")
     cfg = _load_config(args)
     quad = _quadrature(args)
     catalog = _calibrated_catalog(cfg, args, quad)
@@ -350,10 +284,8 @@ def cmd_isosurface(args):
 
 def cmd_validate(args):
     cfg = _load_config(args)
-    if cfg.catalog_rule is not None:
-        if cfg.ion is None:
-            raise ValueError("catalog section requires an ion section")
-        _catalog(cfg, _quadrature(args))
+    if cfg.catalog is not None:
+        _log_catalog(cfg, _quadrature(args))
     print("configuration ok")
     return 0
 

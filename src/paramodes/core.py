@@ -29,6 +29,51 @@ B_MODE = "B"
 DEFAULT_COEFFS = (1.0, -1.0, 0.0)  # (c_+, c_-, c_0): potential along phi-hat
 
 
+# One reading of configuration entries for the CLI and the library; every
+# malformed entry raises a ValueError that names it, as "trap.radial_khz".
+
+def section(raw, name):
+    """Section named by the last part of the dotted `name`; None when absent."""
+    out = raw.get(name.rpartition(".")[2])
+    if out is not None and not isinstance(out, dict):
+        raise ValueError(f"{name} section must be a JSON object")
+    return out
+
+
+def entry(sec, name, key, kind=float, default=None):
+    """One numeric entry of a section; missing or malformed ones are named."""
+    if key not in sec:
+        if default is None:
+            raise ValueError(f"{name} section is missing {key!r}")
+        return default
+    return number(sec[key], f"{name}.{key}", kind)
+
+
+def number(value, what, kind=float):
+    """kind(value) of one configuration entry, a finite number (not a bool,
+    nor a string unless kind is complex, as in "1+2j") and integral for
+    kind int; a named ValueError otherwise."""
+    try:
+        out = complex(value) if kind is complex else float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or isinstance(value, bool) or not np.isfinite(out) \
+            or (isinstance(value, str) and kind is not complex):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    if kind is int and not out.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return kind(out)
+
+
+def vector(value, what, length=None, kind=float):
+    """Tuple of `number` entries from a configuration list."""
+    if not isinstance(value, (list, tuple)) \
+            or (length is not None and len(value) != length):
+        raise ValueError(f"{what} must be a list of "
+                         f"{length or 'some'} numbers, got {value!r}")
+    return tuple(number(x, what, kind) for x in value)
+
+
 def to_dimensionless(x, omega):
     """Convert a length in meters to c/omega units."""
     if omega <= 0:

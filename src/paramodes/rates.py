@@ -25,14 +25,14 @@ where the mirror no longer modifies the emission.
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from threading import Lock
 
 import numpy as np
 
 from .core import (ModeParams, DipoleSpec, SIGMAS, HBAR, C_LIGHT, EPS0,
-                   DEFAULT_COEFFS)
+                   DEFAULT_COEFFS, section, entry, vector)
 from .trap import LambDicke
 from .spectrum import unit_spectra
 from .numerics import (
@@ -64,7 +64,6 @@ def _parse_family_label(label):
 class ModeCatalog:
     modes: tuple
     calibration: float = 1.0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.modes:
@@ -88,11 +87,8 @@ class ModeCatalog:
                 seen.append(lab)
         return tuple(seen)
 
-    def calibrated(self, constant, window=None):
-        meta = dict(self.meta)
-        if window is not None:
-            meta["calibration_window"] = tuple(window)
-        return replace(self, calibration=float(constant), meta=meta)
+    def calibrated(self, constant):
+        return replace(self, calibration=float(constant))
 
 
 _MAX_LADDER = 100_000  # bounds the ladder before it is built
@@ -104,6 +100,10 @@ def build_ladder(start, step_inner, transition, step_outer, kappa_max):
     Inner steps apply while |kappa| < transition, outer steps beyond; the
     ladder spans (-kappa_max, kappa_max) and always contains `start`.
     """
+    params = (start, step_inner, transition, step_outer, kappa_max)
+    if not np.isfinite(params).all():
+        raise ValueError(f"ladder rule (start, step_inner, transition, "
+                         f"step_outer, max) must be finite, got {params}")
     if step_inner <= 0 or step_outer <= 0 or kappa_max <= abs(start):
         raise ValueError("ladder rule must have positive steps and room to grow")
     if 2 * kappa_max / min(step_inner, step_outer) > _MAX_LADDER:
@@ -135,41 +135,44 @@ def build_catalog(rule, omega):
                 multiplies each mode's rate by 1 + A exp(-(kappa/w)^2),
                 applied as sqrt on the coefficient triple
       coeffs:   optional coefficient triple, default core.DEFAULT_COEFFS
+
+    Numbers follow core.number; a malformed entry raises a ValueError that
+    names it, as catalog.kappa.step_inner.
     """
     labels = rule.get("families")
-    if not labels:
-        raise ValueError("rule must list at least one mode family")
+    if not (isinstance(labels, (list, tuple)) and labels
+            and all(isinstance(lab, str) for lab in labels)):
+        raise ValueError("catalog.families must be a non-empty list of "
+                         "family labels")
     pairs = []
     for fam, m in (p for lab in labels for p in _parse_family_label(lab)):
         if (fam, m) in pairs:
             raise ValueError(f"family {fam} m={m} is listed twice in {labels}")
         pairs.append((fam, m))
-    krule = rule.get("kappa")
+    krule = section(rule, "catalog.kappa")
     if not krule:
-        raise ValueError("rule must specify a kappa catalog")
+        raise ValueError("catalog.kappa must give 'values' or the ladder "
+                         "parameters")
     if "values" in krule:
-        kappas = [float(k) for k in krule["values"]]
+        kappas = vector(krule["values"], "catalog.kappa.values")
         if not kappas:
-            raise ValueError("empty kappa list")
+            raise ValueError("catalog.kappa.values is empty")
     else:
         kappas = build_ladder(
-            float(krule.get("start", 0.0)),
-            float(krule["step_inner"]),
-            float(krule["transition"]),
-            float(krule["step_outer"]),
-            float(krule["max"]),
-        )
-    wrule = rule.get("weight") or {}
-    amp = float(wrule.get("amplitude", 0.0))
-    width = float(wrule.get("width", 1.0))
-    if not (np.isfinite(amp) and amp > -1.0):
-        raise ValueError(f"catalog.weight.amplitude must be finite and > -1 "
-                         f"(the weight 1 + A exp(-(kappa/w)^2) must stay "
-                         f"positive), got {amp!r}")
-    if not (np.isfinite(width) and width > 0.0):
-        raise ValueError(f"catalog.weight.width must be finite and > 0, "
-                         f"got {width!r}")
-    coeffs = tuple(complex(c) for c in rule.get("coeffs", DEFAULT_COEFFS))
+            entry(krule, "catalog.kappa", "start", default=0.0),
+            *(entry(krule, "catalog.kappa", key)
+              for key in ("step_inner", "transition", "step_outer", "max")))
+    wrule = section(rule, "catalog.weight") or {}
+    amp = entry(wrule, "catalog.weight", "amplitude", default=0.0)
+    width = entry(wrule, "catalog.weight", "width", default=1.0)
+    if not amp > -1.0:
+        raise ValueError(f"catalog.weight.amplitude must be > -1 (the weight "
+                         f"1 + A exp(-(kappa/w)^2) must stay positive), "
+                         f"got {amp!r}")
+    if not width > 0.0:
+        raise ValueError(f"catalog.weight.width must be > 0, got {width!r}")
+    coeffs = vector(rule.get("coeffs", DEFAULT_COEFFS), "catalog.coeffs", 3,
+                    complex)
     modes = []
     for fam, m in pairs:
         for kappa in kappas:
@@ -177,8 +180,7 @@ def build_catalog(rule, omega):
             mode = ModeParams(omega=omega, m=m, kappa=kappa, family=fam,
                               coeffs=coeffs).scaled(np.sqrt(w))
             modes.append(mode)
-    meta = {"rule": rule}
-    return ModeCatalog(modes=tuple(modes), meta=meta)
+    return ModeCatalog(modes=tuple(modes))
 
 
 # The kernel series keeps every (p, q) term whose gamma is at least
@@ -202,15 +204,18 @@ def _series_terms(n_abs, eta_x, eta_z, rel_tol):
     """
     j = np.arange(_MAX_SERIES_ROWS)
     e_r = n_abs + 2 * j
-    log_fact = np.array([math.lgamma(k + 1.0)
-                         for k in range(n_abs + _MAX_SERIES_ROWS)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = np.where(j > 0, 2 * j * np.log(eta_z), 0.0) - log_fact[j]
+    log_fact_j, log_fact_jn = (np.array([math.lgamma(k + 1.0) for k in ks])
+                               for ks in (j.tolist(), (j + n_abs).tolist()))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_a = np.where(j > 0, 2 * j * np.log(eta_z), 0.0) - log_fact_j
         log_b = np.where(e_r > 0, e_r * (2 * np.log(eta_x) - np.log(2.0)),
-                         0.0) - log_fact[j] - log_fact[j + n_abs]
+                         0.0) - log_fact_j - log_fact_jn
         log_g = log_a[:, None] + log_b[None, :]
-    top = log_g.max()
-    if top == -np.inf:  # eta_x = 0 leaves no term of nonzero winding
+        top = log_g.max()
+        underflow = np.exp(top) == 0.0
+    if underflow:
+        # every gamma underflows: eta_x = 0 at nonzero winding, or a winding
+        # so large that its series tables would not fit in memory
         return ()
     keep = log_g >= top + np.log(_SERIES_CUT * rel_tol)
     if not np.isfinite(top) or keep[-1].any() or keep[:, -1].any() \
@@ -504,27 +509,39 @@ def total_rate(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,
                      threads)[0]
 
 
+MAX_GRID = 100_000  # bounds every z grid, and the CLI's map grids
+
+
+def z_grid(window, what):
+    """The inclusive grid start, start + step, ... <= stop of a
+    (start, stop, step) triple; a ValueError that names `what` unless the
+    values are finite, start <= stop, step > 0 and the grid has at most
+    MAX_GRID points."""
+    start, stop, step = window
+    if not (np.isfinite(window).all() and start <= stop and step > 0):
+        raise ValueError(f"{what} needs finite values, start <= stop and "
+                         f"step > 0, got {tuple(window)}")
+    if (stop - start) / step + 1 > MAX_GRID:
+        raise ValueError(f"{what} gives more than {MAX_GRID} points")
+    return np.arange(start, stop + step / 2, step)
+
+
 def calibrate(catalog, dipole: DipoleSpec, eta: LambDicke,
               window=(120.0, 160.0, 5.0), cfg=DEFAULT_QUADRATURE, threads=1):
     """Fix the catalog normalization to a far-field unity plateau.
 
-    Averages the raw catalog total over z in the window (start, stop, step)
-    inclusive and stores C = 1 / mean.  Raises before any quadrature unless
-    the window is finite with start <= stop and step > 0, and after it if
-    the window average is not a positive finite number.
+    Averages the raw catalog total over the z_grid of the window
+    (start, stop, step) and stores C = 1 / mean.  Raises before any
+    quadrature if z_grid rejects the window, and after it if the window
+    average is not a positive finite number.
     """
-    start, stop, step = window
-    if not (np.isfinite(window).all() and start <= stop and step > 0):
-        raise ValueError(f"calibration window (start, stop, step) needs "
-                         f"finite values, start <= stop and step > 0, "
-                         f"got {tuple(window)}")
-    zs = np.arange(start, stop + step / 2, step)
+    zs = z_grid(window, "calibration window (start, stop, step)")
     base = catalog.calibrated(1.0)
     raw = [r.total for r in rate_scan(base, dipole, eta, zs, cfg, threads)]
     mean = float(np.mean(raw))
     if not np.isfinite(mean) or mean <= 0.0:
         raise ValueError(f"far-field window mean {mean} cannot calibrate")
-    return catalog.calibrated(1.0 / mean, window=window)
+    return catalog.calibrated(1.0 / mean)
 
 
 def mode_table(catalog, dipole: DipoleSpec, eta: LambDicke, z_center,

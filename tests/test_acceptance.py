@@ -160,6 +160,12 @@ def test_criterion_04_stationary_phase_estimate():
 
 
 def test_criterion_05_single_mode_dominance(ybii_scan):
+    """Calibrated share of the kappa = 0.02 mode at the focus (ybII).
+
+    Each mode's share is proportional to its ladder step: halving both
+    steps of the preset ladder halves it, 0.4692 -> 0.2346.  The band
+    holds the preset ladder, a fit parameter, not a derived measure.
+    """
     zs, results = ybii_scan
     res = results[int(np.where(zs == 0.0)[0][0])]
     probe = [r for r in res.rows if abs(r.kappa - 0.02) < 1e-12][0]
@@ -171,6 +177,12 @@ def test_criterion_05_single_mode_dominance(ybii_scan):
 
 
 def test_criterion_06_enhancement_profile(ybii_scan):
+    """Focal enhancement G(0) and its relaxation to 1 in the tails (ybII).
+
+    G(0) measures the ratio of the ladder's two steps, 0.44 / 0.28, and
+    the preset focal weight (amplitude 0.12); both are fit parameters.
+    Halving both steps leaves it at 1.7571.
+    """
     zs, results = ybii_scan
     totals = np.array([r.total for r in results])
     g0 = float(totals[zs == 0.0][0])
@@ -191,6 +203,11 @@ def test_criterion_06_enhancement_profile(ybii_scan):
 
 
 def test_criterion_07_stiffer_trap_floor(ybii_ion):
+    """Calibrated share of the kappa = 0.64 mode at the focus (ybIII).
+
+    Like criterion 05 it scales with the ladder step: halving both steps
+    halves it, 0.3980 -> 0.1990.
+    """
     raw = load_preset("ybIII")
     ion = IonSpec("YbIII", 171.0 * ATOMIC_MASS, 251e-9)
     eta = LambDicke.from_trap(ion.omega, ion.mass,
@@ -209,6 +226,11 @@ def test_criterion_07_stiffer_trap_floor(ybii_ion):
 
 
 def test_criterion_08_mode_count_economy(ybii_scan):
+    """Modes above 5% of the largest entry at z = +-10 (ybII).
+
+    The count goes as 1 / (ladder step): halving both steps doubles it,
+    13 -> 26, outside the band.  The ladder step is a fit parameter.
+    """
     zs, results = ybii_scan
     count = 0
     for z_probe in (10.0, -10.0):

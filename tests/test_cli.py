@@ -63,6 +63,25 @@ def test_validate_rejects_bad_scan(tmp_path, capsys):
     assert "z_min" in capsys.readouterr().err
 
 
+def test_config_reads_catalog_and_grids_through_the_library():
+    cfg = RunConfig.from_dict(TINY_RATE)
+    assert cfg.catalog == rates.build_catalog(cfg.catalog_rule, cfg.ion.omega)
+    assert cfg.scan_grid.tolist() == [-4.0, 0.0, 4.0]
+    # one-point grids, as rates.calibrate accepts them
+    one = RunConfig.from_dict(dict(
+        TINY_RATE, calibration_window=[140.0, 140.0, 5.0],
+        scan={"z_min": 2.0, "z_max": 2.0, "z_step": 1.0}))
+    assert one.window == (140.0, 140.0, 5.0)
+    assert one.scan_grid.tolist() == [2.0]
+    with pytest.raises(ValueError, match="calibration window"):
+        RunConfig.from_dict(dict(TINY_RATE, calibration_window=[160, 120, 5]))
+    with pytest.raises(ValueError, match="more than 100000 points"):
+        RunConfig.from_dict(dict(
+            TINY_RATE, scan={"z_min": 0.0, "z_max": 1e6, "z_step": 1.0}))
+    with pytest.raises(ValueError, match="catalog section requires an ion"):
+        RunConfig.from_dict({"catalog": TINY_RATE["catalog"]})
+
+
 @pytest.mark.parametrize("payload, named", [
     (dict(TINY_RATE, ion={"name": "t", "wavelength_nm": 369.5}), "mass_amu"),
     (dict(TINY_RATE, trap=5), "trap section"),

@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -21,8 +22,10 @@ from paramodes.rates import (
     ModeCatalog, family_label,
     build_ladder, build_catalog, calibrate,
     mode_contribution, total_rate, rate_scan, mode_table, gamma0,
-    _series_terms,
+    series_rows, _series_terms,
 )
+from paramodes.cli import RunConfig
+from paramodes.presets import load_preset
 from paramodes.oracles import (
     mode_contribution_direct, mode_contribution_general,
 )
@@ -63,6 +66,14 @@ def test_build_ladder_rejects_bad_rules():
         build_ladder(7.0, 0.3, 1.0, 0.4, 6.0)
     with pytest.raises(ValueError):
         build_ladder(0.0, 1e-4, 1.0, 0.4, 6.0)  # 120000 rungs
+    # a NaN step would grow the ladder without end; an inf step or
+    # transition would give a silently wrong ladder
+    for params in ((np.nan, 0.28, 1.5, 0.44, 6.0),
+                   (0.02, np.nan, 1.5, 0.44, 6.0),
+                   (0.02, np.inf, 1.5, 0.44, 6.0),
+                   (0.02, 0.28, np.inf, 0.44, 6.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_ladder(*params)
 
 
 def test_build_catalog_families_and_weights():
@@ -90,6 +101,50 @@ def test_build_catalog_rejects_empty():
         build_catalog({"families": ["E m=0"]}, omega=1.0)
     with pytest.raises(ValueError):
         build_catalog({"families": ["Q m=0"], "kappa": {"values": [1.0]}}, omega=1.0)
+
+
+LADDER = {"start": 0.02, "step_inner": 0.28, "transition": 1.5,
+          "step_outer": 0.44, "max": 6.0}
+
+
+@pytest.mark.parametrize("rule, named", [
+    (dict(TINY_RULE, families="E m=0"), "catalog.families must be a non-empty"),
+    (dict(TINY_RULE, families=["E m=0", 1]), "catalog.families must be a"),
+    (dict(TINY_RULE, kappa={"values": [0.02, True]}),
+     "catalog.kappa.values must be a finite number, got True"),
+    (dict(TINY_RULE, kappa={"values": ["0.5"]}),
+     "catalog.kappa.values must be a finite number, got '0.5'"),
+    (dict(TINY_RULE, kappa={"values": 0.5}),
+     "catalog.kappa.values must be a list of some numbers"),
+    (dict(TINY_RULE, kappa=[0.5]), "catalog.kappa section must be a JSON"),
+    (dict(TINY_RULE, kappa=dict(LADDER, step_inner=np.nan)),
+     "catalog.kappa.step_inner must be a finite number, got nan"),
+    (dict(TINY_RULE, kappa=dict(LADDER, max=np.inf)),
+     "catalog.kappa.max must be a finite number, got inf"),
+    (dict(TINY_RULE, kappa=dict(LADDER, transition=False)),
+     "catalog.kappa.transition must be a finite number, got False"),
+    (dict(TINY_RULE, kappa=dict(LADDER, start="0")),
+     "catalog.kappa.start must be a finite number, got '0'"),
+    (dict(TINY_RULE, kappa={k: v for k, v in LADDER.items()
+                            if k != "step_outer"}),
+     "catalog.kappa section is missing 'step_outer'"),
+    (dict(TINY_RULE, weight={"amplitude": "0.1"}),
+     "catalog.weight.amplitude must be a finite number, got '0.1'"),
+    (dict(TINY_RULE, weight={"width": np.nan}),
+     "catalog.weight.width must be a finite number, got nan"),
+    (dict(TINY_RULE, weight=5), "catalog.weight section must be a JSON"),
+    (dict(TINY_RULE, coeffs=[1.0, -1.0]),
+     "catalog.coeffs must be a list of 3 numbers"),
+    (dict(TINY_RULE, coeffs=[1.0, np.inf, 0.0]),
+     "catalog.coeffs must be a finite number, got inf"),
+    (dict(TINY_RULE, coeffs=[True, -1.0, 0.0]),
+     "catalog.coeffs must be a finite number, got True"),
+])
+def test_build_catalog_names_malformed_entries(rule, named):
+    # the CLI reads the catalog through build_catalog, so library callers
+    # get the configuration names too
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build_catalog(rule, omega=1.0)
 
 
 def test_catalog_requires_increasing_kappa():
@@ -294,7 +349,6 @@ def test_calibration_normalizes_far_field(ybii_eta, dipole_axial):
     zs = np.arange(120.0, 160.01, 20.0)
     res = rate_scan(cat, dipole_axial, ybii_eta, zs)
     assert np.mean([r.total for r in res]) == pytest.approx(1.0, rel=1e-12)
-    assert cat.meta["calibration_window"] == (120.0, 160.0, 20.0)
 
 
 def test_scale_equivariance(ybii_eta, dipole_axial):
@@ -543,6 +597,44 @@ def test_series_terms_are_cached_and_immutable(ybii_eta):
     for _ in range(2):  # a failure is not cached: every call raises
         with pytest.raises(ValueError, match="trap too soft"):
             _series_terms(0, 30.0, 30.0, 1e-10)
+
+
+def test_huge_winding_has_no_series_terms_and_rates_zero(ybii_eta,
+                                                         dipole_axial):
+    # every gamma of this winding underflows; building its series would
+    # take lgamma over 10^12 indices and power tables of degree 10^12
+    huge_m = 10**12
+    cat = build_catalog({"families": [f"E |m|={huge_m}"],
+                         "kappa": {"values": [0.02]}}, omega=1.0)
+    assert series_rows(cat, dipole_axial, ybii_eta) == {huge_m: 0}
+    normal = ModeParams(omega=1.0, m=0, kappa=0.02, family="E")
+    huge = ModeParams(omega=1.0, m=huge_m, kappa=0.02, family="E")
+    zs = [-4.0, 0.0, 6.0]
+    alone = rate_scan(ModeCatalog((normal,)), dipole_axial, ybii_eta, zs)
+    both = rate_scan(ModeCatalog((normal, huge)), dipole_axial, ybii_eta, zs)
+    for a, b in zip(alone, both):
+        assert b.weighted[0] == a.weighted[0] and b.total == a.total
+        assert b.weighted[1] == 0.0
+
+
+@pytest.mark.parametrize("preset", ["ybII", "ybIII"])
+def test_delta_kappa_catalog_obeys_the_free_space_sum_rule(preset):
+    # the full-sphere angular spectra are complete: with each mode weighted
+    # by its ladder step dkappa and no focal weight, the calibrated catalog
+    # rate is the free-space rate at every trap center.  The residual,
+    # 5.3e-3 (ybII) and 5.8e-3 (ybIII), falls as the square of the step.
+    # The preset ladders put every group on the A @ M contraction.
+    cfg = RunConfig.from_dict(load_preset(preset))
+    cat = build_catalog(dict(cfg.catalog_rule, weight=None), cfg.ion.omega)
+    assert len(cat.family_labels) == 1  # one kappa ladder
+    dkappa = np.gradient([mode.kappa for mode in cat.modes])
+    cat = ModeCatalog(tuple(mode.scaled(np.sqrt(d))
+                            for mode, d in zip(cat.modes, dkappa)))
+    cat = calibrate(cat, cfg.dipole, cfg.eta, cfg.window, threads=2)
+    zs = [0.0, 4.0, -4.0, 10.0, -10.0, 20.0, -20.0, 40.0, -40.0]
+    totals = [r.total for r in rate_scan(cat, cfg.dipole, cfg.eta, zs,
+                                         threads=2)]
+    assert np.max(np.abs(np.array(totals) - 1.0)) <= 1e-2
 
 
 def test_rate_scan_rejects_non_finite_z(ybii_eta, dipole_axial):

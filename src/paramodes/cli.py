@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (
     IonSpec, DipoleSpec, ModeParams, ATOMIC_MASS, DEFAULT_COEFFS,
-    E_MODE, B_MODE, section, entry, number, vector,
+    E_MODE, B_MODE, section, known_keys, entry, number, vector,
 )
 from .trap import LambDicke
 from .rates import (
@@ -37,7 +37,8 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
-    """Validated run description; sections are optional per command."""
+    """Validated run description; sections are optional per command, and
+    every section, like the top level, rejects a key it does not read."""
 
     raw: dict
     ion: IonSpec = None
@@ -54,8 +55,11 @@ class RunConfig:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ValueError("configuration must be a JSON object")
+        known_keys(raw, "the configuration",
+                   ("name", "description", "ion", "dipole", "trap", "catalog",
+                    "calibration_window", "scan", "mode", "map"))
         cfg = cls(raw=raw)
-        ion = section(raw, "ion")
+        ion = section(raw, "ion", ("name", "mass_amu", "wavelength_nm"))
         if ion is not None:
             cfg.ion = IonSpec(
                 name=str(ion.get("name", "ion")),
@@ -65,7 +69,7 @@ class RunConfig:
         if "dipole" in raw:
             cfg.dipole = DipoleSpec(
                 vector(raw["dipole"], "dipole", 3, complex))
-        trap = section(raw, "trap")
+        trap = section(raw, "trap", ("radial_khz", "axial_khz", "center"))
         if trap is not None:
             if cfg.ion is None:
                 raise ValueError("trap section requires an ion section")
@@ -88,12 +92,12 @@ class RunConfig:
             cfg.window = vector(raw["calibration_window"],
                                 "calibration_window", 3)
             z_grid(cfg.window, "calibration window (start, stop, step)")
-        scan = section(raw, "scan")
+        scan = section(raw, "scan", ("z_min", "z_max", "z_step"))
         if scan is not None:
             cfg.scan_grid = z_grid(
                 [entry(scan, "scan", k) for k in ("z_min", "z_max", "z_step")],
                 "scan (z_min, z_max, z_step)")
-        mode = section(raw, "mode")
+        mode = section(raw, "mode", ("family", "m", "kappa", "coeffs"))
         if mode is not None:
             fam = mode.get("family")
             if fam not in (E_MODE, B_MODE):
@@ -104,7 +108,8 @@ class RunConfig:
                 kappa=entry(mode, "mode", "kappa"), family=fam,
                 coeffs=vector(mode.get("coeffs", DEFAULT_COEFFS),
                               "mode.coeffs", 3, complex))
-        mp = section(raw, "map")
+        mp = section(raw, "map", ("component", "rho_max", "n_rho", "z_center",
+                                  "z_half_span", "n_z", "n_iso"))
         if mp is not None:
             spec = {
                 "component": str(mp.get("component", "z")),
@@ -127,9 +132,15 @@ class RunConfig:
             cfg.map_spec = spec
         return cfg
 
+    # the attribute each configuration section sets, where the names differ
+    _FIELDS = {"trap": "eta", "calibration_window": "window",
+               "scan": "scan_grid", "map": "map_spec"}
+
     def require(self, *sections):
+        """Raise a ValueError naming the first configuration section of
+        `sections` that the configuration lacks."""
         for name in sections:
-            if getattr(self, name) is None:
+            if getattr(self, self._FIELDS.get(name, name)) is None:
                 raise ValueError(f"this command needs a {name!r} section "
                                  "in the configuration")
 
@@ -181,7 +192,7 @@ def _log_catalog(cfg, quad):
 
 
 def _calibrated_catalog(cfg, args, quad):
-    cfg.require("dipole", "eta", "catalog", "window")
+    cfg.require("dipole", "trap", "catalog", "calibration_window")
     _log_catalog(cfg, quad)
     catalog = calibrate(cfg.catalog, cfg.dipole, cfg.eta, cfg.window, quad,
                         threads=args.threads)
@@ -192,7 +203,7 @@ def _calibrated_catalog(cfg, args, quad):
 
 def cmd_field_map(args):
     cfg = _load_config(args)
-    cfg.require("mode", "map_spec")
+    cfg.require("mode", "map")
     quad = _quadrature(args)
     mp = cfg.map_spec
     rho = np.linspace(0.0, mp["rho_max"], mp["n_rho"])
@@ -210,7 +221,7 @@ def cmd_field_map(args):
 
 def cmd_rate_scan(args):
     cfg = _load_config(args)
-    cfg.require("scan_grid")
+    cfg.require("scan")
     quad = _quadrature(args)
     catalog = _calibrated_catalog(cfg, args, quad)
     results = rate_scan(catalog, cfg.dipole, cfg.eta, cfg.scan_grid, quad,
@@ -266,7 +277,7 @@ def cmd_perp_decomposition(args):
 
 def cmd_isosurface(args):
     cfg = _load_config(args)
-    cfg.require("mode", "map_spec")
+    cfg.require("mode", "map")
     quad = _quadrature(args)
     mp = cfg.map_spec
     n = mp["n_iso"]

@@ -32,12 +32,24 @@ DEFAULT_COEFFS = (1.0, -1.0, 0.0)  # (c_+, c_-, c_0): potential along phi-hat
 # One reading of configuration entries for the CLI and the library; every
 # malformed entry raises a ValueError that names it, as "trap.radial_khz".
 
-def section(raw, name):
-    """Section named by the last part of the dotted `name`; None when absent."""
+def section(raw, name, keys=None):
+    """Section named by the last part of the dotted `name`; None when
+    absent.  With `keys`, its keys are checked by known_keys."""
     out = raw.get(name.rpartition(".")[2])
     if out is not None and not isinstance(out, dict):
         raise ValueError(f"{name} section must be a JSON object")
+    if out is not None and keys is not None:
+        known_keys(out, name, keys)
     return out
+
+
+def known_keys(sec, name, keys):
+    """Reject a key of `sec` outside `keys`, so that a misspelled entry
+    never falls back to its default unnoticed."""
+    for key in sec:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {name}; known keys: "
+                             f"{', '.join(keys)}")
 
 
 def entry(sec, name, key, kind=float, default=None):

@@ -73,7 +73,7 @@ def _field_integrals(mode, rho, z, cfg=DEFAULT_QUADRATURE):
     mirror's at (sin theta, -cos theta), and one J_|n|(rho s)
     table per distinct |n| (J_{-n} = (-1)^n J_n, and J_2 shares J_0 and
     J_1), in tiles of _BLOCK rho and z values whose buffers are allocated
-    once per grid.  The Kronrod weights go into the spectrum, so a tile's
+    once per grid.  The quadrature weights go into the spectrum, so a tile's
     node sum is one real matmul, the (re/im x 3 rho, cos/sin x nodes)
     weighted Bessel-times-spectrum table against the (z, cos/sin x nodes)
     cos and sin of z cos theta, on one BLAS thread, so the bits do not

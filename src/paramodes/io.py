@@ -17,29 +17,21 @@ def config_hash(obj):
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def _atomic(path, data, mode):
-    """Write via a sibling temp file and rename, so readers never see a
-    partial file; it gets open()'s mode, 0o666 less the umask."""
+def _atomic(path, data):
+    """Write text or bytes via a sibling temp file and rename, so readers
+    never see a partial file; it gets open()'s mode, 0o666 less the umask."""
     path = os.path.abspath(path)
     tmp = os.path.join(os.path.dirname(path),
                        f".tmp-{secrets.token_hex(8)}-{os.path.basename(path)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path, text):
-    _atomic(path, text, "w")
-
-
-def atomic_write_bytes(path, data):
-    _atomic(path, data, "wb")
 
 
 def format_float(x):
@@ -50,7 +42,7 @@ def format_float(x):
 
 
 def write_json(path, payload):
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(path, header, rows, metadata=None):
@@ -64,7 +56,7 @@ def write_csv(path, header, rows, metadata=None):
             format_float(v) if isinstance(v, (float, int, np.floating, np.integer))
             else str(v)
             for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic(path, "\n".join(lines) + "\n")
 
 
 def write_npz(path, metadata=None, **arrays):
@@ -76,4 +68,4 @@ def write_npz(path, metadata=None, **arrays):
         arrays = dict(arrays)
         arrays["metadata_json"] = np.array(json.dumps(metadata, sort_keys=True))
     np.savez(buf, **arrays)
-    atomic_write_bytes(path, buf.getvalue())
+    _atomic(path, buf.getvalue())

@@ -157,7 +157,7 @@ def field_2d_oracle(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE,
 
     Slow verification path for field_at_point.  The phi_k integral uses a
     uniform periodic grid (spectrally accurate for the trigonometric
-    integrands); theta_k reuses the same composite Kronrod nodes.
+    integrands); theta_k reuses the same composite Gauss nodes.
     """
     rho, phi, z = (float(x) for x in position)
     if rho < 0:
@@ -176,8 +176,7 @@ def field_2d_oracle(mode: ModeParams, position, cfg=DEFAULT_QUADRATURE,
         integrand = f * (np.exp(1j * kdotr) * w)[None, :, :]
         return integrand.sum(axis=1) * (2 * np.pi / n_phi)
 
-    est, _ = integrate_adaptive(values, nosc, cfg)
-    ex, ey, ez = est
+    (ex, ey, ez), _ = refine(lambda u, wk: values(u) @ wk, nosc, cfg, z)
     comps = {1: (ex - 1j * ey) / 2, -1: (ex + 1j * ey) / 2, 0: ez}
     return FieldSample((rho, phi, z), comps)
 
@@ -264,7 +263,8 @@ def mode_contribution_direct(mode, sigma, eta: LambDicke, z_center,
                 f"pair kernel lost positivity: {t} vs scale {ref}")
         return t
 
-    t, _ = refine(estimate, oscillation_count(mode.kappa, z_center, 0.0), cfg)
+    t, _ = refine(estimate, oscillation_count(mode.kappa, z_center, 0.0), cfg,
+                  z_center)
     if t < 0.0:
         warnings.warn("clamping small negative pair-kernel quadrature result")
         t = 0.0
@@ -315,4 +315,4 @@ def mode_contribution_general(mode, sigma, eta_xyz, center,
         return float(gam @ (np.abs(b @ wk) ** 2))
 
     return refine(estimate, oscillation_count(mode.kappa, z0, np.hypot(x0, y0)),
-                  cfg)[0]
+                  cfg, z0)[0]

@@ -32,7 +32,7 @@ from threading import Lock
 import numpy as np
 
 from .core import (ModeParams, DipoleSpec, SIGMAS, HBAR, C_LIGHT, EPS0,
-                   DEFAULT_COEFFS, section, entry, vector)
+                   DEFAULT_COEFFS, section, known_keys, entry, vector)
 from .trap import LambDicke
 from .spectrum import unit_spectra
 from .numerics import (
@@ -109,18 +109,13 @@ def build_ladder(start, step_inner, transition, step_outer, kappa_max):
     if 2 * kappa_max / min(step_inner, step_outer) > _MAX_LADDER:
         raise ValueError(f"ladder rule gives more than {_MAX_LADDER} modes")
     ks = [start]
-    k = start
-    while True:
-        k += step_inner if abs(k) < transition else step_outer
-        if k > kappa_max:
-            break
-        ks.append(k)
-    k = start
-    while True:
-        k -= step_inner if abs(k) < transition else step_outer
-        if k < -kappa_max:
-            break
-        ks.append(k)
+    for sign in (1.0, -1.0):  # k - step is k + (-step) bit for bit
+        k = start
+        while True:
+            k += sign * (step_inner if abs(k) < transition else step_outer)
+            if sign * k > kappa_max:
+                break
+            ks.append(k)
     return sorted(ks)
 
 
@@ -137,8 +132,11 @@ def build_catalog(rule, omega):
       coeffs:   optional coefficient triple, default core.DEFAULT_COEFFS
 
     Numbers follow core.number; a malformed entry raises a ValueError that
-    names it, as catalog.kappa.step_inner.
+    names it, as catalog.kappa.step_inner, and so does a key outside these.
+    The kappa section may hold 'values' and the ladder keys together, as a
+    configuration overlay merged over a ladder preset does; 'values' wins.
     """
+    known_keys(rule, "catalog", ("families", "kappa", "weight", "coeffs"))
     labels = rule.get("families")
     if not (isinstance(labels, (list, tuple)) and labels
             and all(isinstance(lab, str) for lab in labels)):
@@ -149,7 +147,8 @@ def build_catalog(rule, omega):
         if (fam, m) in pairs:
             raise ValueError(f"family {fam} m={m} is listed twice in {labels}")
         pairs.append((fam, m))
-    krule = section(rule, "catalog.kappa")
+    krule = section(rule, "catalog.kappa", ("values", "start", "step_inner",
+                                             "transition", "step_outer", "max"))
     if not krule:
         raise ValueError("catalog.kappa must give 'values' or the ladder "
                          "parameters")
@@ -162,7 +161,7 @@ def build_catalog(rule, omega):
             entry(krule, "catalog.kappa", "start", default=0.0),
             *(entry(krule, "catalog.kappa", key)
               for key in ("step_inner", "transition", "step_outer", "max")))
-    wrule = section(rule, "catalog.weight") or {}
+    wrule = section(rule, "catalog.weight", ("amplitude", "width")) or {}
     amp = entry(wrule, "catalog.weight", "amplitude", default=0.0)
     width = entry(wrule, "catalog.weight", "width", default=1.0)
     if not amp > -1.0:
@@ -240,7 +239,7 @@ def series_rows(catalog, dipole: DipoleSpec, eta: LambDicke,
             for n in sorted(windings)}
 
 
-# u >= 0 nodes per block of the rate engine's node sum (35 K15 panels, and
+# u >= 0 nodes per block of the rate engine's node sum (35 Gauss panels, and
 # as many mirrored at u < 0), and z values per tile of the trap-phase
 # matrix; together they bound the working set.  Node blocks are the only
 # unit of work that `threads` shares out.
@@ -273,7 +272,7 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     trap centers: the rate engine.
 
     Every task shares one grid, sized by the largest |kappa| and |z|, and
-    one refine() that tests each task's row on its own scale: the K15 sum
+    one refine() that tests each task's row on its own scale: the Gauss sum
     on a first grid against the one on twice its panels, doubling until
     the two agree.  Per winding
     n = |m - sigma|, T = sum_r gamma_r |G|^2 over the series rows
@@ -300,8 +299,8 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     and the trap Gaussian are even, the kappa and trap phases go to their
     conjugates, the unit spectra are the same table at (sin, -cos) and the
     series rows flip by (-1)^p.  A block holds its nodes as [+u, -u],
-    each table the concatenation of its two halves, and w_u is the Kronrod
-    weight.
+    each table the concatenation of its two halves, and w_u is the
+    quadrature weight.
     """
     z_values = np.asarray(z_values, dtype=float)
     if not np.isfinite(z_values).all():

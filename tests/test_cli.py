@@ -134,6 +134,34 @@ def test_config_reads_catalog_and_grids_through_the_library():
     (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"],
                                   families=["E |m|=1", "E m=1"])),
      "family E m=1 is listed twice"),
+    (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"], families=["E |m|=0"])),
+     "|m| must be positive in 'E |m|=0'"),
+    # map entries outside their ranges
+    (dict(TINY_MAP, map=dict(TINY_MAP["map"], component="x")),
+     "map component must be"),
+    (dict(TINY_MAP, map=dict(TINY_MAP["map"], n_rho=1)), ">= 2 points"),
+    # a misspelled key is named, not replaced by its default: each overlay
+    # below once validated and kept the preset's value
+    (_merge(load_preset("ybII"),
+            {"catalog": {"weight": {"amplitud": 5.0, "width": 8.0}}}),
+     "unknown key 'amplitud' in catalog.weight"),
+    (_merge(load_preset("ybII"), {"calibraton_window": [100, 120, 5]}),
+     "unknown key 'calibraton_window' in the configuration"),
+    (_merge(load_preset("fig1a"), {"map": {"n_rhoo": 3}}),
+     "unknown key 'n_rhoo' in map"),
+    (dict(TINY_RATE, ion=dict(TINY_RATE["ion"], mass=171.0)),
+     "unknown key 'mass' in ion"),
+    (dict(TINY_RATE, trap=dict(TINY_RATE["trap"], axial=480.0)),
+     "unknown key 'axial' in trap"),
+    (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"], family=["E m=0"])),
+     "unknown key 'family' in catalog"),
+    (dict(TINY_RATE, catalog=dict(TINY_RATE["catalog"],
+                                  kappa={"value": [0.5]})),
+     "unknown key 'value' in catalog.kappa"),
+    (dict(TINY_RATE, scan=dict(TINY_RATE["scan"], zstep=1.0)),
+     "unknown key 'zstep' in scan"),
+    (dict(TINY_MAP, mode=dict(TINY_MAP["mode"], kapa=0.5)),
+     "unknown key 'kapa' in mode"),
 ])
 def test_malformed_config_is_named_failure(tmp_path, capsys, payload, named):
     cfg = _write(tmp_path, "bad.json", payload)
@@ -320,9 +348,31 @@ def test_failed_field_quadrature_exits_1_and_writes_no_file(
 
 
 def test_missing_section_is_failure(tmp_path, capsys):
+    # the error names the JSON section, not the attribute it sets
     cfg = _write(tmp_path, "nomap.json", {"mode": TINY_MAP["mode"]})
     out = str(tmp_path / "x.csv")
     assert main(["field-map", "--config", cfg, "--out", out]) == 1
+    assert "needs a 'map' section" in capsys.readouterr().err
+    assert main(["rate-scan", "--preset", "fig1a", "--out", out]) == 1
+    assert "needs a 'scan' section" in capsys.readouterr().err
+    for section in ("trap", "calibration_window"):
+        cfg = _write(tmp_path, "rate.json", {k: v for k, v in TINY_RATE.items()
+                                             if k != section})
+        assert main(["mode-table", "--config", cfg, "--out", out]) == 1
+        assert f"needs a {section!r} section" in capsys.readouterr().err
+
+
+def test_zero_catalog_cannot_calibrate(tmp_path, capsys):
+    # a catalog of zero coefficients validates, but has no far-field rate
+    # to calibrate on
+    cfg = _write(tmp_path, "zero.json", dict(
+        TINY_RATE, catalog=dict(TINY_RATE["catalog"], coeffs=[0, 0, 0])))
+    assert main(["validate", "--config", cfg]) == 0
+    out = tmp_path / "scan.csv"
+    assert main(["rate-scan", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "far-field window mean 0.0 cannot calibrate" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_field_map_output(tmp_path):

@@ -95,6 +95,9 @@ def test_field_grids_are_checked_before_any_quadrature(monkeypatch):
         field_at_point(mode, (-1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="must be finite"):
         axis_intensity_scan(mode, [0.0, np.inf])
+    with pytest.raises(ValueError, match="no winding-zero component"):
+        axis_intensity_scan(ModeParams(omega=1.0, m=2, kappa=-0.64,
+                                       family="E"), [0.0])
     for call, name in ((lambda: intensity_map(mode, "z", [], [0, 1]), "rho"),
                        (lambda: intensity_map(mode, "z", [0], []), "z"),
                        (lambda: axis_intensity_scan(mode, []), "z"),

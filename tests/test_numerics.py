@@ -29,7 +29,7 @@ def test_panel_nodes_integrate_gaussian():
     assert est == pytest.approx(np.sqrt(np.pi), rel=1e-13)
 
 
-def test_successive_kronrod_estimates_agree_on_smooth_integrand():
+def test_successive_estimates_agree_on_smooth_integrand():
     exact = 2.0 * np.tanh(12.0)
     coarse, fine = (float(np.cosh(u) ** -2 @ wk)
                     for u, wk, _ in (panel_nodes(n, -12.0, 12.0)
@@ -43,6 +43,21 @@ def test_successive_kronrod_estimates_agree_on_smooth_integrand():
     # the third value is the panel edges
     edges = panel_nodes(16, -12.0, 12.0)[2]
     assert np.array_equal(edges, np.linspace(-12.0, 12.0, 17))
+
+
+def test_composite_rule_reaches_round_off_on_closed_form():
+    # the rule's weights sum to 2 exactly, so refining a grid that already
+    # resolves the integrand leaves only round-off, with no bias of the rule
+    assert panel_nodes(1, -1.0, 1.0)[1].sum() == 2.0
+    # Int sech^2(u) e^{-2 i kappa u} du = 2 pi kappa / sinh(pi kappa), whose
+    # tails beyond |u| = 40 are below 1e-33
+    for kappa in (0.0, 0.3, 2.0):
+        want = 2.0 if kappa == 0.0 else \
+            2 * np.pi * kappa / np.sinh(np.pi * kappa)
+        for n_panels in (160, 320, 640):
+            u, wk, _ = panel_nodes(n_panels, -40.0, 40.0)
+            est = complex(np.cosh(u) ** -2 * np.exp(-2j * kappa * u) @ wk)
+            assert abs(est - want) <= 1e-15 * want, (kappa, n_panels)
 
 
 def test_oscillatory_closed_form():
@@ -187,7 +202,7 @@ def test_window_nodes_at_zero_z_are_the_knee_aligned_rule():
         n_mid = n_panels - 2 * n_taper
         for nosc in (0.0, 40.0):
             u, wk = window_nodes(n_panels, 0.0, nosc)
-            # a panel's middle node is its midpoint, its Kronrod weights
+            # a panel's middle node is its midpoint, its weights
             # sum to its width
             mid = u.reshape(n_panels, 15)[:, 7]
             width = wk.reshape(n_panels, 15).sum(axis=1)
@@ -258,7 +273,7 @@ def test_graded_first_grid_resolves_the_trap_phase():
 
 
 def test_accepted_grids_match_a_grid_four_times_finer(monkeypatch):
-    # the successive-Kronrod rule's outputs against the same engines on a
+    # the successive-estimate rule's outputs against the same engines on a
     # grid four times finer than the one refine() accepted
     def with_reference(engine, call):
         grids = []
@@ -488,7 +503,7 @@ def test_quadrature_config_validation():
         replace(DEFAULT_QUADRATURE, rel_tol=2e-2)
     cfg = replace(DEFAULT_QUADRATURE, rel_tol=1e-6)
     assert cfg.rel_tol == 1e-6
-    # below 1e-12 the successive-Kronrod residual cannot converge
+    # below 1e-12 the successive-estimate residual cannot converge
     with pytest.raises(ValueError, match=r"rel_tol must lie in \[1e-12, 1e-2\]"):
         QuadratureConfig(rel_tol=1e-13)
     assert QuadratureConfig(rel_tol=1e-12).rel_tol == 1e-12

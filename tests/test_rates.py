@@ -139,6 +139,12 @@ LADDER = {"start": 0.02, "step_inner": 0.28, "transition": 1.5,
      "catalog.coeffs must be a finite number, got inf"),
     (dict(TINY_RULE, coeffs=[True, -1.0, 0.0]),
      "catalog.coeffs must be a finite number, got True"),
+    (dict(TINY_RULE, families=["E |m|=0"]), "|m| must be positive in 'E |m|=0'"),
+    (dict(TINY_RULE, weight={"amplitud": 0.1}),
+     "unknown key 'amplitud' in catalog.weight"),
+    (dict(TINY_RULE, kappa=dict(LADDER, stepinner=0.1)),
+     "unknown key 'stepinner' in catalog.kappa"),
+    (dict(TINY_RULE, coefs=[1.0, -1.0, 0.0]), "unknown key 'coefs' in catalog"),
 ])
 def test_build_catalog_names_malformed_entries(rule, named):
     # the CLI reads the catalog through build_catalog, so library callers
@@ -201,16 +207,22 @@ def test_rate_paths_raise_when_refinement_is_exhausted(ybii_eta,
                                                       monkeypatch):
     # a graded first pair at the default density converges by design, so
     # the failure needs a first grid far too coarse for the phase, and no
-    # doubling past its check grid
+    # doubling past its check grid: the first grid stays at MIN_PANELS
+    # (a larger one would fail its cap check with a ValueError instead),
+    # and each panel of the check grid holds several phase oscillations
     monkeypatch.setattr(numerics, "PANELS_PER_OSCILLATION", 0.1)
     monkeypatch.setattr(numerics, "MAX_PANELS", 2 * numerics.MIN_PANELS)
-    mode = ModeParams(omega=1.0, m=0, kappa=5.6, family="E")
+    kappa, z = 15.0, -11.2
+    n_osc = numerics.oscillation_count(kappa, z, 0.0)
+    assert np.ceil(0.1 * n_osc) <= numerics.MIN_PANELS
+    assert n_osc / (2 * numerics.MIN_PANELS) > 4
+    mode = ModeParams(omega=1.0, m=0, kappa=kappa, family="E")
     eta_xyz = (ybii_eta.eta_x, ybii_eta.eta_x, ybii_eta.eta_z)
     for path in (
-            lambda: mode_contribution(mode, 0, ybii_eta, -11.2),
-            lambda: mode_contribution_direct(mode, 0, ybii_eta, -11.2),
+            lambda: mode_contribution(mode, 0, ybii_eta, z),
+            lambda: mode_contribution_direct(mode, 0, ybii_eta, z),
             lambda: mode_contribution_general(mode, 0, eta_xyz,
-                                              (0.0, 0.0, -11.2))):
+                                              (0.0, 0.0, z))):
         with pytest.raises(QuadratureError) as err:
             path()
         assert err.value.residual > 0.0

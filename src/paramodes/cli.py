@@ -21,7 +21,7 @@ from .rates import (
     MAX_GRID, ModeCatalog, build_catalog, calibrate, rate_scan, total_rate,
     mode_table, series_rows, z_grid,
 )
-from .fieldeval import intensity_map, isointensity_grid
+from .fieldeval import _COMPONENTS, intensity_map, isointensity_grid
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError
 from .presets import load_preset, preset_names
 from .io import write_csv, write_json, write_npz, config_hash
@@ -120,8 +120,9 @@ class RunConfig:
                 "n_z": entry(mp, "map", "n_z", int, 121),
                 "n_iso": entry(mp, "map", "n_iso", int, 25),
             }
-            if spec["component"] not in ("z", "+", "-", "total"):
-                raise ValueError("map component must be 'z', '+', '-' or 'total'")
+            if spec["component"] not in _COMPONENTS:
+                raise ValueError(
+                    f"map component must be one of {list(_COMPONENTS)}")
             if min(spec["n_rho"], spec["n_z"], spec["n_iso"]) < 2 \
                     or spec["rho_max"] <= 0 or spec["z_half_span"] <= 0:
                 raise ValueError("map grid must have positive extent and >= 2 points")
@@ -132,15 +133,11 @@ class RunConfig:
             cfg.map_spec = spec
         return cfg
 
-    # the attribute each configuration section sets, where the names differ
-    _FIELDS = {"trap": "eta", "calibration_window": "window",
-               "scan": "scan_grid", "map": "map_spec"}
-
     def require(self, *sections):
         """Raise a ValueError naming the first configuration section of
         `sections` that the configuration lacks."""
         for name in sections:
-            if getattr(self, self._FIELDS.get(name, name)) is None:
+            if self.raw.get(name) is None:
                 raise ValueError(f"this command needs a {name!r} section "
                                  "in the configuration")
 
@@ -173,13 +170,6 @@ def _load_config(args):
     return RunConfig.from_dict(raw)
 
 
-def _quadrature(args):
-    """The quadrature configuration with --tolerance applied."""
-    if args.tolerance is None:
-        return DEFAULT_QUADRATURE
-    return QuadratureConfig(rel_tol=args.tolerance)
-
-
 def _log_catalog(cfg, quad):
     """Log the configured catalog, and its rate-series terms when the
     configuration has a dipole and a trap."""
@@ -192,7 +182,6 @@ def _log_catalog(cfg, quad):
 
 
 def _calibrated_catalog(cfg, args, quad):
-    cfg.require("dipole", "trap", "catalog", "calibration_window")
     _log_catalog(cfg, quad)
     catalog = calibrate(cfg.catalog, cfg.dipole, cfg.eta, cfg.window, quad,
                         threads=args.threads)
@@ -201,14 +190,16 @@ def _calibrated_catalog(cfg, args, quad):
     return catalog
 
 
-def cmd_field_map(args):
-    cfg = _load_config(args)
-    cfg.require("mode", "map")
-    quad = _quadrature(args)
+def _map_z(mp, n):
+    """The map's z axis: n points over z_center +- z_half_span."""
+    return np.linspace(mp["z_center"] - mp["z_half_span"],
+                       mp["z_center"] + mp["z_half_span"], n)
+
+
+def cmd_field_map(cfg, quad, args):
     mp = cfg.map_spec
     rho = np.linspace(0.0, mp["rho_max"], mp["n_rho"])
-    zs = np.linspace(mp["z_center"] - mp["z_half_span"],
-                     mp["z_center"] + mp["z_half_span"], mp["n_z"])
+    zs = _map_z(mp, mp["n_z"])
     grid, _ = intensity_map(cfg.mode, mp["component"], rho, zs, quad)
     rows = [(zs[i], rho[j], grid[i, j])
             for i in range(len(zs)) for j in range(len(rho))]
@@ -216,13 +207,9 @@ def cmd_field_map(args):
               metadata={"config_sha256": config_hash(cfg.raw),
                         "component": mp["component"]})
     log.info("wrote %s (%d rows)", args.out, len(rows))
-    return 0
 
 
-def cmd_rate_scan(args):
-    cfg = _load_config(args)
-    cfg.require("scan")
-    quad = _quadrature(args)
+def cmd_rate_scan(cfg, quad, args):
     catalog = _calibrated_catalog(cfg, args, quad)
     results = rate_scan(catalog, cfg.dipole, cfg.eta, cfg.scan_grid, quad,
                         threads=args.threads)
@@ -236,13 +223,9 @@ def cmd_rate_scan(args):
                         "calibration": catalog.calibration,
                         "n_modes": len(catalog.modes)})
     log.info("wrote %s (%d rows)", args.out, len(rows))
-    return 0
 
 
-def cmd_mode_table(args):
-    number(args.z, "--z")  # before calibrating, which a bad z would waste
-    cfg = _load_config(args)
-    quad = _quadrature(args)
+def cmd_mode_table(cfg, quad, args):
     catalog = _calibrated_catalog(cfg, args, quad)
     table = mode_table(catalog, cfg.dipole, cfg.eta, args.z, quad,
                        threads=args.threads)
@@ -253,13 +236,9 @@ def cmd_mode_table(args):
                               "z": args.z,
                               "calibration": catalog.calibration})
     log.info("wrote %s (%d modes)", args.out, len(rows))
-    return 0
 
 
-def cmd_perp_decomposition(args):
-    number(args.z, "--z")
-    cfg = _load_config(args)
-    quad = _quadrature(args)
+def cmd_perp_decomposition(cfg, quad, args):
     catalog = _calibrated_catalog(cfg, args, quad)
     result = total_rate(catalog, cfg.dipole, cfg.eta, args.z, quad,
                         threads=args.threads)
@@ -272,33 +251,46 @@ def cmd_perp_decomposition(args):
     }
     write_json(args.out, payload)
     log.info("wrote %s (total %.6g)", args.out, result.total)
-    return 0
 
 
-def cmd_isosurface(args):
-    cfg = _load_config(args)
-    cfg.require("mode", "map")
-    quad = _quadrature(args)
+def cmd_isosurface(cfg, quad, args):
     mp = cfg.map_spec
-    n = mp["n_iso"]
-    xy = np.linspace(-mp["rho_max"], mp["rho_max"], n)
-    zs = np.linspace(mp["z_center"] - mp["z_half_span"],
-                     mp["z_center"] + mp["z_half_span"], n)
+    xy = np.linspace(-mp["rho_max"], mp["rho_max"], mp["n_iso"])
+    zs = _map_z(mp, mp["n_iso"])
     grid, threshold = isointensity_grid(cfg.mode, args.level, xy, xy, zs, quad)
     write_npz(args.out, metadata={"config_sha256": config_hash(cfg.raw),
                                   "level": args.level},
               intensity=grid, x=xy, y=xy, z=zs,
               threshold=np.array(threshold))
     log.info("wrote %s (threshold %.6g)", args.out, threshold)
-    return 0
 
 
-def cmd_validate(args):
-    cfg = _load_config(args)
+def cmd_validate(cfg, quad, args):
     if cfg.catalog is not None:
-        _log_catalog(cfg, _quadrature(args))
+        _log_catalog(cfg, quad)
     print("configuration ok")
-    return 0
+
+
+_RATE_SECTIONS = ("dipole", "trap", "catalog", "calibration_window")
+
+# name: (command, help, configuration sections it needs, options beyond
+# --preset, --config and --tolerance with their defaults; --out, whose
+# default is None, is required)
+_COMMANDS = {
+    "field-map": (cmd_field_map, "component intensity on a (rho, z) grid",
+                  ("mode", "map"), {"out": None}),
+    "rate-scan": (cmd_rate_scan, "calibrated rate versus trap position",
+                  ("scan",) + _RATE_SECTIONS, {"out": None, "threads": 1}),
+    "mode-table": (cmd_mode_table, "per-mode contributions at one position",
+                   _RATE_SECTIONS, {"out": None, "threads": 1, "z": 0.0}),
+    "perp-decomposition": (
+        cmd_perp_decomposition, "family-resolved totals at one position",
+        _RATE_SECTIONS, {"out": None, "threads": 1, "z": 0.0}),
+    "isosurface": (cmd_isosurface, "3D intensity grid with iso level",
+                   ("mode", "map"), {"out": None, "level": 0.5}),
+    "validate": (cmd_validate, "check a configuration without computing",
+                 (), {}),
+}
 
 
 def build_parser():
@@ -308,44 +300,20 @@ def build_parser():
     parser.add_argument("--list-presets", action="store_true",
                         help="print bundled preset names and exit")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, out=True, threads=False):
+    for name, (_, text, _, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--preset", help="bundled configuration name")
         p.add_argument("--config", help="JSON file merged over the preset")
-        if threads:
-            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--tolerance", type=float, default=None,
                        help="relative quadrature tolerance")
-        if out:
-            p.add_argument("--out", required=True, help="output file path")
-
-    p = sub.add_parser("field-map", help="component intensity on a (rho, z) grid")
-    common(p)
-    p = sub.add_parser("rate-scan", help="calibrated rate versus trap position")
-    common(p, threads=True)
-    p = sub.add_parser("mode-table", help="per-mode contributions at one position")
-    common(p, threads=True)
-    p.add_argument("--z", type=float, default=0.0)
-    p = sub.add_parser("perp-decomposition",
-                       help="family-resolved totals at one position")
-    common(p, threads=True)
-    p.add_argument("--z", type=float, default=0.0)
-    p = sub.add_parser("isosurface", help="3D intensity grid with iso level")
-    common(p)
-    p.add_argument("--level", type=float, default=0.5)
-    p = sub.add_parser("validate", help="check a configuration without computing")
-    common(p, out=False)
+        for option, default in options.items():
+            if default is None:
+                p.add_argument(f"--{option}", required=True,
+                               help="output file path")
+            else:
+                p.add_argument(f"--{option}", type=type(default),
+                               default=default)
     return parser
-
-
-_COMMANDS = {
-    "field-map": cmd_field_map,
-    "rate-scan": cmd_rate_scan,
-    "mode-table": cmd_mode_table,
-    "perp-decomposition": cmd_perp_decomposition,
-    "isosurface": cmd_isosurface,
-    "validate": cmd_validate,
-}
 
 
 def main(argv=None):
@@ -361,8 +329,16 @@ def main(argv=None):
         return 2
     if getattr(args, "threads", 1) < 1:
         parser.error("--threads must be >= 1")
+    command, _, sections, _ = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if hasattr(args, "z"):  # before calibrating, which a bad z would waste
+            number(args.z, "--z")
+        cfg = _load_config(args)
+        cfg.require(*sections)
+        quad = (DEFAULT_QUADRATURE if args.tolerance is None
+                else QuadratureConfig(rel_tol=args.tolerance))
+        command(cfg, quad, args)
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

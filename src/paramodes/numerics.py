@@ -179,8 +179,11 @@ def taper_window(u):
 
 def oscillation_count(kappa, z, rho):
     """Oscillations of the phase -2 kappa u + z cos(theta) + rho sin(theta)
-    over |u| <= WINDOW: the one rule that sizes every first grid."""
-    return (2 * abs(z) + 2 * abs(rho) + 4 * abs(kappa) * WINDOW) / (2 * np.pi)
+    over |u| <= WINDOW: the one rule that sizes every first grid; inf where
+    it overflows, which refine rejects."""
+    with np.errstate(over="ignore"):
+        return ((2 * abs(z) + 2 * abs(rho) + 4 * abs(kappa) * WINDOW)
+                / (2 * np.pi))
 
 
 def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
@@ -201,13 +204,14 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
     converge when the next doubling would pass MAX_PANELS raises
     QuadratureError with that pair's difference.
     """
-    n_panels = max(MIN_PANELS,
-                   int(np.ceil(n_oscillations * PANELS_PER_OSCILLATION)))
-    if 2 * n_panels > MAX_PANELS:
+    n_panels = np.maximum(MIN_PANELS,
+                          np.ceil(n_oscillations * PANELS_PER_OSCILLATION))
+    if not 2 * n_panels <= MAX_PANELS:  # an inf or NaN count fails too
         raise ValueError(
             f"{n_oscillations:.4g} phase oscillations need a first grid of "
-            f"{n_panels} panels, checked on {2 * n_panels}, above the cap "
-            f"MAX_PANELS = {MAX_PANELS}")
+            f"{n_panels:.4g} panels, checked on {2 * n_panels:.4g}, above "
+            f"the cap MAX_PANELS = {MAX_PANELS}")
+    n_panels = int(n_panels)
     coarse = estimate(*window_nodes(n_panels, z, n_oscillations))
     for refinements in count():
         n_panels *= 2

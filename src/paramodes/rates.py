@@ -175,7 +175,10 @@ def build_catalog(rule, omega):
     modes = []
     for fam, m in pairs:
         for kappa in kappas:
-            w = 1.0 + amp * np.exp(-((kappa / width) ** 2))
+            try:
+                w = 1.0 + amp * np.exp(-((kappa / width) ** 2))
+            except OverflowError:  # exp(-inf) = 0
+                w = 1.0
             mode = ModeParams(omega=omega, m=m, kappa=kappa, family=fam,
                               coeffs=coeffs).scaled(np.sqrt(w))
             modes.append(mode)

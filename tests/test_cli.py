@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -212,9 +213,13 @@ def test_tolerance_reaches_the_rate_quadrature(caplog, capsys):
     loose = series_terms(["validate", "--preset", "ybII", "--tolerance", "1e-3"])
     assert len(default) == len(loose) == 1 and default != loose
     capsys.readouterr()
-    assert main(["validate", "--preset", "ybII", "--tolerance", "0.5"]) == 1
-    err = capsys.readouterr().err
-    assert "rel_tol" in err and "Traceback" not in err
+    # also on a configuration without a catalog, where validate runs no
+    # quadrature
+    for preset in ("ybII", "fig1a"):
+        assert main(["validate", "--preset", preset,
+                     "--tolerance", "0.5"]) == 1
+        err = capsys.readouterr().err
+        assert "rel_tol" in err and "Traceback" not in err
 
 
 def test_tolerance_below_round_off_fails_before_any_quadrature(
@@ -233,9 +238,36 @@ def test_tolerance_below_round_off_fails_before_any_quadrature(
 
 def test_threads_only_on_commands_that_read_it():
     parser = build_parser()
-    for command in ("rate-scan", "mode-table", "perp-decomposition"):
-        args = parser.parse_args([command, "--out", "x", "--threads", "2"])
-        assert args.threads == 2
+    # every subcommand's options beyond --preset, --config and --tolerance,
+    # with their defaults; --out is required where it exists
+    options = {
+        "field-map": {"out": None},
+        "rate-scan": {"out": None, "threads": 1},
+        "mode-table": {"out": None, "threads": 1, "z": 0.0},
+        "perp-decomposition": {"out": None, "threads": 1, "z": 0.0},
+        "isosurface": {"out": None, "level": 0.5},
+        "validate": {},
+    }
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(options)
+    for command, extra in options.items():
+        want = dict(command=command, list_presets=False, preset=None,
+                    config=None, tolerance=None, **extra)
+        argv = [command]
+        if "out" in extra:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            argv += ["--out", "x"]
+            want["out"] = "x"
+        # repr tells a default of 0 from 0.0
+        assert repr(sorted(vars(parser.parse_args(argv)).items())) \
+            == repr(sorted(want.items()))
+        for option, default in extra.items():
+            if default is not None:  # each value takes its default's type
+                value = getattr(parser.parse_args(argv + [f"--{option}", "2"]),
+                                option)
+                assert repr(value) == repr(type(default)(2))
     for argv in (["field-map", "--out", "x"], ["isosurface", "--out", "x"],
                  ["validate"]):
         with pytest.raises(SystemExit):
@@ -264,27 +296,48 @@ def test_config_overlay_merges_into_preset_sections(tmp_path):
     assert merged.eta.eta_z != preset.eta.eta_z
 
 
-# configuration fuzzing: JSON-like values under the keys the loader reads
-_KEYS = st.sampled_from([
-    "ion", "dipole", "trap", "catalog", "calibration_window", "scan", "mode",
-    "map", "name", "mass_amu", "wavelength_nm", "radial_khz", "axial_khz",
-    "center", "families", "kappa", "values", "start", "step_inner",
-    "transition", "step_outer", "max", "weight", "amplitude", "width",
-    "coeffs", "z_min", "z_max", "z_step", "family", "m", "component",
-    "rho_max", "n_rho", "z_center", "z_half_span", "n_z", "n_iso",
-]) | st.text(max_size=4)
+# configuration fuzzing: JSON-like values under the keys the loader reads,
+# each object's keys drawn from its own section's names, so that examples
+# get past the unknown-key checks to the entry readers
 _LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
            | st.text(max_size=6)
            | st.sampled_from(["E", "B", "E m=0", "B |m|=1", "z", "total"]))
 _JSON = st.recursive(
     _LEAVES,
-    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=6),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=6),
     max_leaves=20)
+_TRIPLE = st.lists(_LEAVES, min_size=3, max_size=3) | _JSON
+
+
+def _object(keys):
+    """Objects with some of `keys`, each holding values of its strategy; a
+    nested dict of keys is a section, such an object or any JSON value."""
+    return st.fixed_dictionaries({}, optional={
+        key: _object(sub) | _JSON if isinstance(sub, dict) else sub
+        for key, sub in keys.items()})
+
+
+_CONFIG = _object({
+    "name": _JSON, "description": _JSON, "dipole": _TRIPLE,
+    "calibration_window": _TRIPLE,
+    "ion": dict.fromkeys(["name", "mass_amu", "wavelength_nm"], _JSON),
+    "trap": {"radial_khz": _JSON, "axial_khz": _JSON, "center": _TRIPLE},
+    "catalog": {
+        "families": _JSON, "coeffs": _TRIPLE,
+        "kappa": dict.fromkeys(["values", "start", "step_inner", "transition",
+                                "step_outer", "max"], _JSON),
+        "weight": dict.fromkeys(["amplitude", "width"], _JSON)},
+    "scan": dict.fromkeys(["z_min", "z_max", "z_step"], _JSON),
+    "mode": {"family": _JSON, "m": _JSON, "kappa": _JSON, "coeffs": _TRIPLE},
+    "map": dict.fromkeys(["component", "rho_max", "n_rho", "z_center",
+                          "z_half_span", "n_z", "n_iso"], _JSON),
+})
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(preset=st.sampled_from([None, "ybII", "fig1a"]),
-       payload=st.dictionaries(_KEYS, _JSON, max_size=8) | st.lists(_JSON, max_size=3))
+       payload=_CONFIG)
 def test_validate_fuzzed_config_exits_cleanly(preset, payload):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.json")
@@ -311,21 +364,29 @@ def test_readme_library_example_runs():
 @pytest.mark.parametrize("command, preset, overlay", [
     ("field-map", "fig1a", {"mode": {"kappa": 3e6}}),
     ("rate-scan", "ybII", {"calibration_window": [1e9, 1.00000004e9, 5e6]}),
+    # finite requests whose oscillation count overflows to inf
+    ("field-map", "fig1a", {"mode": {"kappa": 1e308}}),
+    ("field-map", "fig1a", {"map": {"rho_max": 1e308}}),
+    ("rate-scan", "ybII", {"catalog": {"kappa": {"values": [1e307]}}}),
 ])
 def test_oversized_grid_is_named_failure(tmp_path, capsys, monkeypatch,
-                                         command, preset, overlay):
-    # the panel cap stops both before a node is built; uncapped, their
-    # first grids ask for gigabytes
+                                         recwarn, command, preset, overlay):
+    # each configuration validates; the panel cap stops the command before
+    # a node is built, where uncapped, its first grid asks for gigabytes
     def no_nodes(*args):
         raise AssertionError("window_nodes ran for an oversized grid")
 
     monkeypatch.setattr(numerics, "window_nodes", no_nodes)
     out = tmp_path / "out.csv"
+    config = _write(tmp_path, "big.json", overlay)
+    assert main(["validate", "--preset", preset, "--config", config]) == 0
     assert main([command, "--preset", preset, "--out", str(out), "--config",
-                 _write(tmp_path, "big.json", overlay)]) == 1
+                 config]) == 1
     err = capsys.readouterr().err
     assert "phase oscillations need a first grid" in err
     assert "MAX_PANELS" in err and "Traceback" not in err
+    assert not re.search(r"\d{21}", err)  # panel counts print as .4g
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
     assert not out.exists()
 
 

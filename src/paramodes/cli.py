@@ -19,7 +19,7 @@ from .core import (
 from .trap import LambDicke
 from .rates import (
     MAX_GRID, ModeCatalog, build_catalog, calibrate, rate_scan, total_rate,
-    mode_table, series_rows, z_grid,
+    mode_table, rate_grid, series_rows, z_grid,
 )
 from .fieldeval import _COMPONENTS, intensity_map, isointensity_grid
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError
@@ -181,8 +181,12 @@ def _log_catalog(cfg, quad):
                  series_rows(cfg.catalog, cfg.dipole, cfg.eta, quad))
 
 
-def _calibrated_catalog(cfg, args, quad):
+def _calibrated_catalog(cfg, args, quad, z_values):
+    """The configured catalog calibrated over its window, once the request
+    at z_values has a first grid under the panel cap."""
     _log_catalog(cfg, quad)
+    # an oversized request fails here, not after the calibration
+    rate_grid([mode.kappa for mode in cfg.catalog.modes], z_values)
     catalog = calibrate(cfg.catalog, cfg.dipole, cfg.eta, cfg.window, quad,
                         threads=args.threads)
     log.info("calibration constant C = %.9g (window %s)",
@@ -210,7 +214,7 @@ def cmd_field_map(cfg, quad, args):
 
 
 def cmd_rate_scan(cfg, quad, args):
-    catalog = _calibrated_catalog(cfg, args, quad)
+    catalog = _calibrated_catalog(cfg, args, quad, cfg.scan_grid)
     results = rate_scan(catalog, cfg.dipole, cfg.eta, cfg.scan_grid, quad,
                         threads=args.threads)
     labels = catalog.family_labels
@@ -226,7 +230,7 @@ def cmd_rate_scan(cfg, quad, args):
 
 
 def cmd_mode_table(cfg, quad, args):
-    catalog = _calibrated_catalog(cfg, args, quad)
+    catalog = _calibrated_catalog(cfg, args, quad, [args.z])
     table = mode_table(catalog, cfg.dipole, cfg.eta, args.z, quad,
                        threads=args.threads)
     rows = [(t["family"], t["m"], t["kappa"], t["contribution"], t["fraction"])
@@ -239,7 +243,7 @@ def cmd_mode_table(cfg, quad, args):
 
 
 def cmd_perp_decomposition(cfg, quad, args):
-    catalog = _calibrated_catalog(cfg, args, quad)
+    catalog = _calibrated_catalog(cfg, args, quad, [args.z])
     result = total_rate(catalog, cfg.dipole, cfg.eta, args.z, quad,
                         threads=args.threads)
     payload = {

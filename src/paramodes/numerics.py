@@ -179,11 +179,29 @@ def taper_window(u):
 
 def oscillation_count(kappa, z, rho):
     """Oscillations of the phase -2 kappa u + z cos(theta) + rho sin(theta)
-    over |u| <= WINDOW: the one rule that sizes every first grid; inf where
-    it overflows, which refine rejects."""
+    over |u| <= WINDOW, the count that first_grid sizes a grid by; inf where
+    it overflows, which first_grid rejects.  A field passes its own kappa;
+    the rate engine passes the largest |kappa| its request can reach, at
+    least half the count of the catalog's largest (rates.rate_grid)."""
     with np.errstate(over="ignore"):
         return ((2 * abs(z) + 2 * abs(rho) + 4 * abs(kappa) * WINDOW)
                 / (2 * np.pi))
+
+
+def first_grid(n_oscillations):
+    """Panels of refine()'s first grid for a phase of n_oscillations:
+    PANELS_PER_OSCILLATION of them per oscillation, at least MIN_PANELS.
+    The one sizing rule and the one cap check: raises ValueError, before any
+    node is built, where the grid that checks the first one, twice its
+    panels, would pass MAX_PANELS."""
+    n_panels = np.maximum(MIN_PANELS,
+                          np.ceil(n_oscillations * PANELS_PER_OSCILLATION))
+    if not 2 * n_panels <= MAX_PANELS:  # an inf or NaN count fails too
+        raise ValueError(
+            f"{n_oscillations:.4g} phase oscillations need a first grid of "
+            f"{n_panels:.4g} panels, checked on {2 * n_panels:.4g}, above "
+            f"the cap MAX_PANELS = {MAX_PANELS}")
+    return int(n_panels)
 
 
 def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
@@ -199,19 +217,12 @@ def refine(estimate, n_oscillations, cfg=DEFAULT_QUADRATURE, z=0.0):
     finer grid's estimate, largest difference), where the difference bounds
     the coarser grid's error.
 
-    MAX_PANELS is the one bound: a first grid whose check grid is above it
-    raises ValueError before any node is built, and a pair that fails to
-    converge when the next doubling would pass MAX_PANELS raises
-    QuadratureError with that pair's difference.
+    first_grid sizes the first grid.  MAX_PANELS is the one bound: a first
+    grid whose check grid is above it raises ValueError before any node is
+    built, and a pair that fails to converge when the next doubling would
+    pass MAX_PANELS raises QuadratureError with that pair's difference.
     """
-    n_panels = np.maximum(MIN_PANELS,
-                          np.ceil(n_oscillations * PANELS_PER_OSCILLATION))
-    if not 2 * n_panels <= MAX_PANELS:  # an inf or NaN count fails too
-        raise ValueError(
-            f"{n_oscillations:.4g} phase oscillations need a first grid of "
-            f"{n_panels:.4g} panels, checked on {2 * n_panels:.4g}, above "
-            f"the cap MAX_PANELS = {MAX_PANELS}")
-    n_panels = int(n_panels)
+    n_panels = first_grid(n_oscillations)
     coarse = estimate(*window_nodes(n_panels, z, n_oscillations))
     for refinements in count():
         n_panels *= 2

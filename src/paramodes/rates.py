@@ -22,6 +22,7 @@ catalog total averages to one over a far-field window on the shadow side,
 where the mirror no longer modifies the emission.
 """
 
+import logging
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -36,9 +37,11 @@ from .core import (ModeParams, DipoleSpec, SIGMAS, HBAR, C_LIGHT, EPS0,
 from .trap import LambDicke
 from .spectrum import unit_spectra
 from .numerics import (
-    DEFAULT_QUADRATURE, oscillation_count, refine, folded_nodes,
+    DEFAULT_QUADRATURE, oscillation_count, first_grid, refine, folded_nodes,
     taper_window, sin_cos_theta, one_blas_thread,
 )
+
+log = logging.getLogger(__name__)
 
 
 def family_label(family, m):
@@ -250,6 +253,65 @@ _U_BLOCK = 525
 _Z_BLOCK = 64
 
 
+# A task's kernel integrals carry the phase 2 kappa u + z tanh u, stationary
+# where z sech^2 u = -2 kappa: only for kappa z < 0 and |z| >= 2 |kappa|,
+# near the plane z = -2 kappa.  Short of that plane the stationary point
+# moves off the real axis to u = i v, cos^2 v = r = |z| / 2|kappa| < 1, and
+# steepest descent (Chester, Friedman and Ursell's uniform form at the
+# caustic r = 1) bounds |G| by e^{-h}, with
+#
+#     h = 2 |kappa| (arccos(sqrt r) - sqrt(r (1 - r))).
+#
+# h falls from pi |kappa| at r = 0, the e^{-pi |kappa|} decay of a spectrum
+# whose sech poles lie at u = +-i pi/2, to 0 at the caustic, over the Airy
+# scale |z|^(1/3); on the other side of the focus (kappa z > 0) the trap
+# phase only adds decay, so r = 0 bounds it there.  T goes as e^{-2h} times
+# a prefactor.  A task whose 2h exceeds _EVANESCENT_EXPONENT at every z of a
+# request is evanescent: its T is below refine's absolute floor of 1e-15,
+# so its row passes the pair test on that floor, whatever rel_tol is.  The
+# constant is measured: over the ybII, ybIII and ybII-perp catalogs at
+# z = -160, -158, ..., 160, the largest 2h of a task whose T is above 1e-15
+# is 46.0 (ybIII, kappa = -7.32 at z = 0, where the sech powers give a
+# prefactor near 1e5).  At z = 0 it puts every |kappa| <= 48 / 2pi = 7.6 in
+# reach.  The E |m|=1 rows keep an algebraic floor of at most 5e-15 that no
+# exponent removes.
+_EVANESCENT_EXPONENT = 48.0
+
+
+def rate_grid(kappas, z_values):
+    """(oscillation count, first-grid panels, kappa_reach, evanescent
+    count) of a rate-engine request: tasks with these kappas at the trap
+    centers z_values.
+
+    A task is in reach where its 2h is at most _EVANESCENT_EXPONENT at some
+    z, and kappa_reach is the largest |kappa| in reach.  The count is
+    max(oscillation_count(kappa_reach), oscillation_count(max |kappa|) / 2)
+    at the largest |z|.  Half a count is a quarter panel per oscillation:
+    3.75 Gauss nodes per wavelength of the linear kappa phase, above the pi
+    that Gauss-Legendre needs (Hale and Trefethen), enough for a row that
+    passes on refine's floor.  numerics.first_grid sizes the grid and raises
+    ValueError above MAX_PANELS, before any node is built.  The pair test
+    still guards every row, so a task wrongly taken as evanescent costs a
+    third grid, never a wrong result.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    z_values = np.asarray(z_values, dtype=float)
+    k = np.abs(kappas)
+    # |z| of the trap center nearest each task's plane z = -2 kappa, or 0
+    # where every z lies on the other side of the focus
+    z_near = np.where(kappas > 0, -z_values.min(initial=0.0),
+                      z_values.max(initial=0.0))
+    r = np.divide(0.5 * z_near, k, out=np.ones_like(k),
+                  where=0.5 * z_near < k)
+    reach = k * (np.arccos(np.sqrt(r)) - np.sqrt(r * (1.0 - r))) \
+        <= _EVANESCENT_EXPONENT / 4
+    kappa_reach = float(k[reach].max(initial=0.0))
+    zmax = float(np.abs(z_values).max(initial=0.0))
+    n_osc = float(max(oscillation_count(kappa_reach, zmax, 0.0),
+                      0.5 * oscillation_count(k.max(initial=0.0), zmax, 0.0)))
+    return n_osc, first_grid(n_osc), kappa_reach, int(np.sum(~reach))
+
+
 class _BlockSum:
     """Per-group sums of node-block parts added from any thread, in block
     order, so the bits never depend on the thread count.  Early parts wait;
@@ -274,10 +336,13 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
     """T_sigma[t, z] of every (mode, sigma) task over an array of axial
     trap centers: the rate engine.
 
-    Every task shares one grid, sized by the largest |kappa| and |z|, and
-    one refine() that tests each task's row on its own scale: the Gauss sum
-    on a first grid against the one on twice its panels, doubling until
-    the two agree.  Per winding
+    Every task shares one grid, sized by rate_grid from the largest |kappa|
+    the request can reach and half that of the catalog's largest, since an
+    evanescent task's T is below refine's absolute floor; and one refine()
+    that tests each task's row on its own scale: the Gauss sum on a first
+    grid against the one on twice its panels, doubling until the two agree.
+    One INFO line logs the first grid, kappa_reach and the evanescent
+    tasks.  Per winding
     n = |m - sigma|, T = sum_r gamma_r |G|^2 over the series rows
     _series_terms keeps at cfg.rel_tol, with
     G[t, r, z] = sum_u A[t, u] rows[u, r] e^{-i z cos theta(u)},
@@ -402,11 +467,14 @@ def _catalog_T(tasks, eta: LambDicke, z_values, cfg, pool_map=map):
                                        optimize=False)
         return T
 
-    kmax = float(np.abs(kappas).max())
+    n_osc, n_panels, kappa_reach, n_evanescent = rate_grid(kappas[kidx],
+                                                           z_values)
     zmax = float(np.abs(z_values).max(initial=0.0))
+    log.info("rate grid for %d z, |z| <= %g: first grid %d panels, "
+             "kappa_reach %.4g, %d of %d tasks evanescent", len(z_values),
+             zmax, n_panels, kappa_reach, n_evanescent, len(tasks))
     with one_blas_thread():
-        return refine(estimate, oscillation_count(kmax, zmax, 0.0), cfg,
-                      zmax)[0]
+        return refine(estimate, n_osc, cfg, zmax)[0]
 
 
 def mode_contribution(mode, sigma, eta: LambDicke, z_center,

@@ -390,6 +390,25 @@ def test_oversized_grid_is_named_failure(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_oversized_rate_request_fails_before_calibrating(tmp_path):
+    # |z| = 1e5 needs a first grid above the panel cap; the command says so
+    # before it calibrates, so no calibration constant is logged
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    for command, preset in (("mode-table", "ybII"),
+                            ("perp-decomposition", "ybII-perp")):
+        out = tmp_path / f"{command}.out"
+        run = subprocess.run(
+            [sys.executable, "-m", "paramodes.cli", command, "--preset",
+             preset, "--z", "1e5", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1, run.stderr
+        assert "MAX_PANELS" in run.stderr
+        assert "calibration constant" not in run.stderr
+        assert "Traceback" not in run.stderr
+        assert not out.exists()
+
+
 def test_failed_field_quadrature_exits_1_and_writes_no_file(
         tmp_path, capsys, monkeypatch):
     # a first grid far too coarse for the phase, and no doubling past the

@@ -14,8 +14,8 @@ from paramodes.core import ModeParams
 from paramodes.numerics import (
     QuadratureConfig, QuadratureError, DEFAULT_QUADRATURE, WINDOW,
     TAPER_FRACTION, KNEE, PANELS_PER_OSCILLATION, MIN_PANELS, MAX_PANELS,
-    panel_nodes, window_nodes, folded_nodes, taper_window, refine,
-    sin_cos_theta, theta_from_u, bessel_j, oscillation_count,
+    panel_nodes, window_nodes, folded_nodes, taper_window, first_grid,
+    refine, sin_cos_theta, theta_from_u, bessel_j, oscillation_count,
 )
 from paramodes.oracles import (
     integrate_adaptive, u_from_theta, bessel_i, bessel_j_series,
@@ -116,12 +116,18 @@ def test_oversized_first_grid_raises_before_any_node(monkeypatch):
     # twice as many panels, does not
     n_first = MAX_PANELS // 2 + 1
     nosc = n_first / PANELS_PER_OSCILLATION
-    with pytest.raises(ValueError, match=re.escape(
-            f"{nosc:.4g} phase oscillations need a first grid of "
-            f"{n_first:.4g} panels, checked on {2 * n_first:.4g}, above "
-            f"the cap MAX_PANELS = {MAX_PANELS}")):
-        refine(unreachable, nosc)
+    message = re.escape(
+        f"{nosc:.4g} phase oscillations need a first grid of "
+        f"{n_first:.4g} panels, checked on {2 * n_first:.4g}, above "
+        f"the cap MAX_PANELS = {MAX_PANELS}")
+    # first_grid is the check that refine and the rate commands share
+    for check in (lambda: refine(unreachable, nosc),
+                  lambda: first_grid(nosc)):
+        with pytest.raises(ValueError, match=message):
+            check()
     # a pair that fits builds its nodes
+    assert first_grid((MAX_PANELS // 2) / PANELS_PER_OSCILLATION) \
+        == MAX_PANELS // 2
     with pytest.raises(AssertionError, match="nodes or estimate built"):
         refine(unreachable, (MAX_PANELS // 2) / PANELS_PER_OSCILLATION)
 
@@ -172,7 +178,7 @@ def test_window_nodes_put_edges_on_taper_knees():
 def _first_grid(kappa, z):
     """(n_panels, n_oscillations) of refine's first grid for a rate phase."""
     nosc = oscillation_count(kappa, z, 0.0)
-    return max(MIN_PANELS, int(np.ceil(nosc * PANELS_PER_OSCILLATION))), nosc
+    return first_grid(nosc), nosc
 
 
 def test_graded_window_nodes_put_edges_on_taper_knees():
@@ -311,10 +317,10 @@ def test_accepted_grids_match_a_grid_four_times_finer(monkeypatch):
                                              zs[::5])[0]),
         ("fig1b axis scan", fieldeval,
          lambda: fieldeval.axis_intensity_scan(mode, zs))]
-    # E m=0 at ybII's largest |kappa|, whose phase sizes the grid, at the
-    # focus and the scan's ends, and likewise a ybII-perp B |m|=1 task.
-    # Their T is below 1e-20, so each rides with the family's focal mode,
-    # whose T is the scale
+    # E m=0 at ybII's largest |kappa|, whose phase at half rate sizes the
+    # grid, at the focus and the scan's ends, and likewise a ybII-perp
+    # B |m|=1 task.  Their T is below 1e-20, so each rides with the
+    # family's focal mode, whose T is the scale
     for preset, family, m, sigma, zs_task in (
             ("ybII", "E", 0, 0, (0.0, -40.0, 40.0)),
             ("ybII-perp", "B", 1, 1, (0.0, -40.0))):
@@ -327,6 +333,21 @@ def test_accepted_grids_match_a_grid_four_times_finer(monkeypatch):
             cases.append((f"{preset} {family} m={m} z={z}", rates,
                           lambda tasks=tasks, cfg=cfg, z=z: rates._catalog_T(
                               tasks, cfg.eta, [z], DEFAULT_QUADRATURE)))
+    # caustics over the ybII scan: modes whose plane z = -2 kappa lies just
+    # inside (-19.7) and just outside (-20.14) the scan's z range, and the
+    # first one past the reach, evanescent, on the grid of the focal mode
+    # and the largest |kappa|'s half rate
+    cfg = RunConfig.from_dict(load_preset("ybII"))
+    zs_scan = cfg.scan_grid
+    modes = {round(md.kappa, 2): md for md in cfg.catalog.modes}
+    beyond = max(k for k in modes
+                 if k < 0 and rates.rate_grid([k], zs_scan)[3])
+    assert rates.rate_grid([-20.14], zs_scan)[3] == 0
+    tasks = [(modes[k], 0) for k in (0.02, -19.7, -20.14, beyond,
+                                     max(modes))]
+    cases.append(("ybII scan caustics", rates,
+                  lambda: rates._catalog_T(tasks, cfg.eta, zs_scan,
+                                           DEFAULT_QUADRATURE)))
     for name, engine, call in cases:
         got, ref = with_reference(engine, call)
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref)), name

@@ -15,7 +15,7 @@ from paramodes.fieldeval import field_at_point
 from paramodes import numerics
 from paramodes.numerics import (
     DEFAULT_QUADRATURE, QuadratureConfig, QuadratureError, oscillation_count,
-    folded_nodes,
+    first_grid, folded_nodes,
 )
 from paramodes import rates, spectrum
 from paramodes.rates import (
@@ -479,6 +479,65 @@ def test_calibrate_converges_on_first_pair(ybii_eta, dipole_transverse,
     calibrate(build_catalog(MIXED_RULE, omega=1.0), dipole_transverse,
               ybii_eta)
     assert calls == [2]
+
+
+def test_catalog_within_the_tail_bound_keeps_the_full_rate_grid():
+    # every |kappa| up to 48 / 2pi = 7.6 is in reach at any z, so a catalog
+    # cut there, as the rate-point benchmark's is at 6, keeps the first grid
+    # of its largest |kappa| at the full rate
+    tail = rates._EVANESCENT_EXPONENT / (2 * np.pi)
+    kappas = [k for k in build_ladder(0.02, 0.28, 1.5, 0.44, 84.0)
+              if abs(k) <= tail]
+    kmax = max(abs(k) for k in kappas)
+    assert 7.0 < kmax <= tail
+    for zs in ([0.0], [-40.0], [3.7], np.arange(-40.0, 40.5, 2.0),
+               [120.0, 160.0]):
+        n_osc = oscillation_count(kmax, np.max(np.abs(zs)), 0.0)
+        assert rates.rate_grid(kappas, zs) \
+            == (n_osc, first_grid(n_osc), kmax, 0)
+    # at z = 0 the tail bound is the edge of reach
+    assert rates.rate_grid([0.99 * tail, -0.99 * tail], [0.0])[2:] \
+        == (0.99 * tail, 0)
+    assert rates.rate_grid([1.01 * tail, -1.01 * tail], [0.0])[2:] \
+        == (0.0, 2)
+
+
+def test_ybii_scan_first_grid_is_set_by_the_half_rate_floor():
+    cfg = RunConfig.from_dict(load_preset("ybII"))
+    kappas = [mode.kappa for mode in cfg.catalog.modes]
+    kmax = max(abs(k) for k in kappas)
+    n_osc, n_panels, reach, n_evanescent = rates.rate_grid(kappas,
+                                                           cfg.scan_grid)
+    half = 0.5 * oscillation_count(kmax, 40.0, 0.0)
+    # every mode whose plane z = -2 kappa lies in the scan's range is in
+    # reach, the catalog's ends are not, and half their count sizes the grid
+    assert 20.0 < reach < kmax
+    assert n_osc == half > oscillation_count(reach, 40.0, 0.0)
+    assert n_panels == 164 == first_grid(2 * half) // 2
+    assert n_evanescent == sum(abs(k) > reach for k in kappas) > 0
+    # the calibration window reaches every negative kappa, and no positive
+    # one beyond the tail bound: its grid keeps the count of the largest
+    # negative kappa
+    window = rates.z_grid(cfg.window, "window")
+    reach_w = max(-k for k in kappas if k < 0)
+    tail = rates._EVANESCENT_EXPONENT / (2 * np.pi)
+    assert rates.rate_grid(kappas, window) == (
+        oscillation_count(reach_w, 160.0, 0.0), 347, reach_w,
+        sum(k > tail for k in kappas))
+
+
+def test_rate_engine_logs_its_first_grid(ybii_eta, caplog):
+    tasks = [(ModeParams(omega=1.0, m=0, kappa=k, family="E"), 0)
+             for k in (0.02, -19.7, 84.0)]
+    with caplog.at_level("INFO", logger="paramodes.rates"):
+        rates._catalog_T(tasks, ybii_eta, [-40.0, 0.0, 40.0],
+                         DEFAULT_QUADRATURE)
+    n_osc, n_panels, reach, n_evanescent = rates.rate_grid(
+        [k for k in (0.02, -19.7, 84.0)], [-40.0, 40.0])
+    assert (reach, n_evanescent) == (19.7, 1)
+    assert caplog.messages == [
+        f"rate grid for 3 z, |z| <= 40: first grid {n_panels} panels, "
+        f"kappa_reach 19.7, 1 of 3 tasks evanescent"]
 
 
 def _assert_scan_rows_match_single_tasks(modes, eta, zs):
